@@ -67,7 +67,7 @@ bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x ./...
 
 # Append a work-stealing scheduler scaling measurement and a BDD GC
-# measurement (peak/steady node counts, pause p95, GC-vs-Compact cost)
+# measurement (peak/steady node counts, pause p95, full-state GC cost)
 # to the benchmark trajectory file; each entry records the core count it
 # was measured on.
 bench-record:
@@ -79,7 +79,7 @@ bench-record:
 # Memory-management soak: sustained prefix-mutating churn through a
 # small memory budget, under the race detector. Asserts the live node
 # sawtooth stays bounded, GC'd models are byte-identical to unbounded
-# runs, counters stay monotone across Compact, and GC keeps running
+# runs, counters stay monotone across the hybrid cutover, and GC keeps running
 # while a sibling subspace is quarantined.
 soak:
 	$(GO) test -race -count=1 -run 'TestSoak|TestChaosGCUnderPoisoning' .

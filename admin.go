@@ -161,15 +161,6 @@ func NewAdminHandler(opts ...AdminOption) http.Handler {
 	return mux
 }
 
-// AdminHandler is the original positional constructor.
-//
-// Deprecated: use NewAdminHandler(WithAdminMetrics(reg),
-// WithAdminHealth(health...)) — and WithAdminSystem to mount the /v1
-// management API.
-func AdminHandler(reg *obs.Registry, health ...func() Health) http.Handler {
-	return NewAdminHandler(WithAdminMetrics(reg), WithAdminHealth(health...))
-}
-
 func (h *apiHandler) healthz(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	// A warm restart that is still waiting for checkpoint-restored agent

@@ -145,6 +145,7 @@ func TestAdminModelBuilderMetrics(t *testing.T) {
 		WithTopo(lineTopo()),
 		WithLayout(dst8),
 		WithSubspaces(2, ""),
+		WithPredicateMode(PredicateHybrid),
 		WithMetrics(reg),
 	)
 	blocks := []DeviceBlock{
@@ -173,16 +174,30 @@ func TestAdminModelBuilderMetrics(t *testing.T) {
 			t.Errorf("imt/%s/apply_ns count = %d (ok=%v), want 1", sub, h.Count, ok)
 		}
 	}
-	// Metrics survive a Compact (the rotated transformer re-attaches).
-	if err := b.Compact(); err != nil {
+	// Metrics survive a cutover: a ternary rule converts both subspaces
+	// from atoms to BDD, the converted transformer keeps its metric
+	// handles, and the engine totals carry the atom engine's history.
+	ops := make(map[string]int64)
+	for _, sub := range []string{"subspace0", "subspace1"} {
+		ops[sub], _ = snap.Get("imt", sub, "bdd_ops")
+	}
+	if err := b.ApplyBlock([]DeviceBlock{{Device: 2, Updates: []Update{
+		{Op: fib.Insert, Rule: Rule{ID: 3, Pri: 5, Action: Drop,
+			Desc: MatchDesc{{Field: "dst", Kind: fib.MatchTernary, Value: 1, Mask: 3}}}},
+	}}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.ApplyBlock([]DeviceBlock{{Device: 2, Updates: []Update{wildcard(3, Drop)}}}); err != nil {
-		t.Fatal(err)
+	if n := b.PredicateCutovers(); n != 2 {
+		t.Fatalf("ternary rule triggered %d cutovers, want 2", n)
 	}
 	snap = reg.Snapshot()
 	if h, ok := snap.Hist("imt", "subspace0", "apply_ns"); !ok || h.Count < 2 {
-		t.Errorf("after Compact: imt/subspace0/apply_ns count = %d (ok=%v), want >= 2", h.Count, ok)
+		t.Errorf("after cutover: imt/subspace0/apply_ns count = %d (ok=%v), want >= 2", h.Count, ok)
+	}
+	for sub, before := range ops {
+		if v, _ := snap.Get("imt", sub, "bdd_ops"); v < before {
+			t.Errorf("after cutover: imt/%s/bdd_ops dropped %d -> %d", sub, before, v)
+		}
 	}
 }
 

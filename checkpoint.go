@@ -13,12 +13,9 @@ import (
 	"repro/internal/ce2d"
 	"repro/internal/ckpt"
 	"repro/internal/fib"
-	"repro/internal/hs"
 	"repro/internal/imt"
 	"repro/internal/obs"
 	"repro/internal/pat"
-	"repro/internal/pred"
-	"repro/internal/sched"
 )
 
 // This file is the serving-plane half of the checkpoint/restore
@@ -381,12 +378,13 @@ func newSystemFromCheckpoint(cfg Config, c *ckpt.Checkpoint) (*System, error) {
 	if int(c.Meta.NVars) != cfg.Layout.TotalBits() {
 		return nil, fmt.Errorf("flash: restore: checkpoint has %d BDD variables, layout wants %d", c.Meta.NVars, cfg.Layout.TotalBits())
 	}
-	set, err := cfg.subspaceSet(nglobal)
-	if err != nil {
-		return nil, err
-	}
-	byIdx := make(map[int]ckpt.Subspace, len(c.Subspaces))
-	for _, sub := range c.Subspaces {
+	// Checkpoint sections outside the configured subspace set are simply
+	// not instantiated: a full-set checkpoint restores cleanly into a
+	// shard replica owning any subset (and vice versa, with the missing
+	// subspaces starting fresh).
+	byIdx := make(map[int]*ckpt.Subspace, len(c.Subspaces))
+	for k := range c.Subspaces {
+		sub := &c.Subspaces[k]
 		i := int(sub.Index)
 		if i < 0 || i >= nglobal {
 			return nil, fmt.Errorf("flash: restore: subspace index %d out of range", i)
@@ -396,77 +394,19 @@ func newSystemFromCheckpoint(cfg Config, c *ckpt.Checkpoint) (*System, error) {
 		}
 		byIdx[i] = sub
 	}
-
-	s := &System{cfg: cfg, poisoned: make(map[int]string)}
-	s.bus = newVerdictBus(cfg.Metrics)
-	s.bus.importState(c.Verdicts)
-	s.workerPanics = cfg.Metrics.Sub("ce2d").Counter("worker_panics")
-	// Checkpoint sections outside the configured subspace set are simply
-	// not instantiated: a full-set checkpoint restores cleanly into a
-	// shard replica owning any subset (and vice versa, with the missing
-	// subspaces starting fresh).
-	for _, i := range set {
-		sub, restored := byIdx[i]
-		var space *hs.Space
-		if restored {
-			e, err := bdd.NewFromNodes(cfg.Layout.TotalBits(), sub.BDD)
-			if err != nil {
-				return nil, fmt.Errorf("flash: restore subspace %d: %w", i, err)
-			}
-			space = hs.NewSpaceOn(e, cfg.Layout)
-		} else {
-			space = hs.NewSpace(cfg.Layout)
-		}
-		universe := cfg.subspacePreds(space)[i]
-		checks, _, err := compileChecks(cfg, func(d MatchDesc) (bdd.Ref, bool) { return space.Compile(d), true })
-		if err != nil {
-			return nil, err
-		}
-		// Restored subspaces always come back in BDD mode: the checkpoint
-		// holds a BDD node dump (capture converts atom subspaces first).
-		w := &sysWorker{cfg: cfg, idx: i, space: space, eng: space.E, universe: universe, checks: checks, budget: cfg.MemoryBudget}
-		sreg := cfg.Metrics.Sub("ce2d").Sub("subspace" + strconv.Itoa(i))
-		ireg := sreg.Sub("imt")
-		factory := func(ce2d.Epoch) *ce2d.Verifier {
-			v := ce2d.NewVerifier(ce2d.Config{
-				Topo:     cfg.Topo,
-				Engine:   w.eng,
-				Universe: w.universe,
-				Checks:   w.checks,
-				Succ:     cfg.Succ,
-			})
-			v.Transformer().Tag = "ce2d/subspace" + strconv.Itoa(i)
-			v.Transformer().Instrument(ireg)
-			return v
-		}
-		if restored {
-			w.disp, err = restoreDispatcher(cfg, w, sub, universe, ireg, factory)
-			if err != nil {
-				return nil, fmt.Errorf("flash: restore subspace %d: %w", i, err)
-			}
-		} else {
-			w.disp = ce2d.NewDispatcher(factory)
-		}
-		w.disp.Instrument(sreg)
-		if sreg != nil {
-			w.feedNs = sreg.Histogram("feed_ns")
-			w.gcPauseNs = sreg.Histogram("bdd_gc_pause_ns")
-			instrumentWorkerEngine(sreg, &w.mu,
-				func() (pred.Engine, *pat.Store) { return w.eng, nil },
-				func() engineCounterBase { return engineCounterBase{} })
-		}
-		s.workers = append(s.workers, w)
+	s, err := newSystem(cfg, byIdx)
+	if err != nil {
+		return nil, err
 	}
-	s.pool = sched.NewPool(cfg.Workers, len(s.workers))
-	s.pool.Instrument(cfg.Metrics.Sub("sched"))
+	s.bus.importState(c.Verdicts)
 	return s, nil
 }
 
 // restoreDispatcher rebuilds one subspace's dispatcher, verifier, and
 // Fast IMT state from its checkpoint section. The worker's engine is
 // already the restored one (w.space.E).
-func restoreDispatcher(cfg Config, w *sysWorker, sub ckpt.Subspace, universe bdd.Ref, ireg *obs.Registry, factory func(ce2d.Epoch) *ce2d.Verifier) (*ce2d.Dispatcher, error) {
-	e := w.space.E
+func (w *sysWorker) restoreDispatcher(sub *ckpt.Subspace, ireg *obs.Registry, factory func(ce2d.Epoch) *ce2d.Verifier) (*ce2d.Dispatcher, error) {
+	e, universe := w.space.E, w.universe
 	if bdd.Ref(sub.Universe) != universe {
 		return nil, fmt.Errorf("universe predicate mismatch (checkpoint %d, config %d)", sub.Universe, universe)
 	}
@@ -500,13 +440,7 @@ func restoreDispatcher(cfg Config, w *sysWorker, sub ckpt.Subspace, universe bdd
 	for i, d := range sub.SyncOrder {
 		syncOrder[i] = fib.DeviceID(d)
 	}
-	v, err := ce2d.RestoreVerifier(ce2d.Config{
-		Topo:     cfg.Topo,
-		Engine:   e,
-		Universe: universe,
-		Checks:   w.checks,
-		Succ:     cfg.Succ,
-	}, trans, syncOrder)
+	v, err := ce2d.RestoreVerifier(w.verifierConfig(), trans, syncOrder)
 	if err != nil {
 		return nil, err
 	}

@@ -6,9 +6,7 @@ package main
 // churned-out predicate) is applied both unbounded and under a memory
 // budget. Recorded per row: peak and steady-state live node counts,
 // collection counts and reclaimed totals, the GC pause distribution
-// (p50/p95), and a direct GC-vs-Compact cost comparison on identical
-// final states — the number that justifies preferring in-engine
-// collection over the full rotation rebuild.
+// (p50/p95), and the cost of one full-state collection.
 
 import (
 	"encoding/json"
@@ -42,7 +40,6 @@ type gcEntry struct {
 	GCPauseP50Ns   int64  `json:"gc_pause_p50_ns"`
 	GCPauseP95Ns   int64  `json:"gc_pause_p95_ns"`
 	GCNs           int64  `json:"gc_ns"`
-	CompactNs      int64  `json:"compact_ns"`
 	Cores          int    `json:"cores"`
 	RecordedAt     string `json:"recorded_at,omitempty"`
 }
@@ -155,11 +152,11 @@ func busiestPause(reg *obs.Registry) (p50, p95 int64) {
 }
 
 func runGCBench(scaleName string, scale exps.Scale, record string) {
-	header("GC — in-engine mark-and-sweep vs Compact rotation")
+	header("GC — in-engine mark-and-sweep under a memory budget")
 	w, seq := gcWorkload(scale)
 	fmt.Printf("subspaces=%d updates=%d churn-factor=%d\n", gcSubspaces, len(seq), gcChurnFactor)
 
-	// Unbounded control #1: final state feeds the explicit-GC timing.
+	// Unbounded control: its final state feeds the explicit-GC timing.
 	ctrl, _, unboundedPeak, _ := gcApply(w, seq, 0)
 	t0 := time.Now()
 	reclaimed, err := ctrl.GC()
@@ -168,15 +165,6 @@ func runGCBench(scaleName string, scale exps.Scale, record string) {
 		os.Exit(1)
 	}
 	gcNs := time.Since(t0).Nanoseconds()
-
-	// Unbounded control #2 (identical final state): Compact timing.
-	ctrl2, _, _, _ := gcApply(w, seq, 0)
-	t0 = time.Now()
-	if err := ctrl2.Compact(); err != nil {
-		fmt.Fprintf(os.Stderr, "flashbench: gc: %v\n", err)
-		os.Exit(1)
-	}
-	compactNs := time.Since(t0).Nanoseconds()
 
 	// Budgeted run: the watermark must force collections well before the
 	// unbounded peak. An eighth of the peak (floored) keeps the budget
@@ -202,14 +190,12 @@ func runGCBench(scaleName string, scale exps.Scale, record string) {
 		GCPauseP50Ns:   p50,
 		GCPauseP95Ns:   p95,
 		GCNs:           gcNs,
-		CompactNs:      compactNs,
 		Cores:          runtime.NumCPU(),
 	}
 	fmt.Printf("unbounded peak=%d nodes; budget=%d: peak=%d steady=%d (%d collections, %d nodes reclaimed)\n",
 		e.UnboundedPeak, e.Budget, e.BudgetedPeak, e.BudgetedSteady, e.GCRuns, e.Reclaimed)
 	fmt.Printf("gc pause p50=%s p95=%s\n", time.Duration(e.GCPauseP50Ns), time.Duration(e.GCPauseP95Ns))
-	fmt.Printf("full-state reclamation: gc=%s compact=%s (%.1fx) — reclaimed %d nodes\n",
-		time.Duration(e.GCNs), time.Duration(e.CompactNs), float64(e.CompactNs)/float64(max(e.GCNs, 1)), reclaimed)
+	fmt.Printf("full-state reclamation: gc=%s — reclaimed %d nodes\n", time.Duration(e.GCNs), reclaimed)
 
 	if record != "" {
 		e.RecordedAt = time.Now().UTC().Format(time.RFC3339)

@@ -18,7 +18,7 @@
 //	flashbench -exp fig18             # verification time vs progress
 //	flashbench -exp overhead          # §5.5 resource accounting
 //	flashbench -exp scaling           # work-stealing scheduler on skewed churn
-//	flashbench -exp gc                # in-engine BDD GC vs Compact rotation
+//	flashbench -exp gc                # in-engine BDD GC under a memory budget
 //	flashbench -exp recovery          # warm restart vs checkpoint age
 //	flashbench -exp shards            # sharded verification vs shard count
 //	flashbench -exp all

@@ -88,6 +88,9 @@ func diffConfigs() []diffConfig {
 	cfgs = append(cfgs,
 		diffConfig{workers: 1, batch: 1, budget: 64},
 		diffConfig{workers: 4, batch: 16, budget: 64},
+		// A budget below the live state: GC runs after every block while
+		// the batcher still buffers updates, which must survive it.
+		diffConfig{workers: 4, batch: 16, budget: 8},
 		diffConfig{workers: 1, batch: 1, mode: PredicateHybrid},
 		diffConfig{workers: 4, batch: 16, mode: PredicateHybrid},
 		// Atoms are far more compact than BDD nodes (that is the point of

@@ -45,6 +45,7 @@ import (
 	"repro/internal/atoms"
 	"repro/internal/bdd"
 	"repro/internal/ce2d"
+	"repro/internal/ckpt"
 	"repro/internal/deltanet"
 	"repro/internal/fib"
 	"repro/internal/hs"
@@ -263,14 +264,14 @@ type Config struct {
 	// when a device synchronizes an epoch, so batching never changes
 	// verdicts — only amortizes work.
 	Batch int
-	// MemoryBudget bounds each subspace worker's live BDD node count.
-	// After a worker applies a block (or feeds a message batch, for a
-	// System), an engine grown past the budget runs an in-engine
-	// mark-and-sweep GC; a ModelBuilder worker additionally falls back
-	// to a full Compact rotation when collection alone cannot get back
-	// under the budget. <= 0 (the default) disables automatic
-	// reclamation. The budget is per worker, so total model memory
-	// scales with the subspace count.
+	// MemoryBudget bounds each subspace worker's live predicate node
+	// count. After a worker applies a block (or feeds a message batch,
+	// for a System), an engine grown past the budget runs an in-engine
+	// mark-and-sweep GC. The budget is a watermark, not a hard cap: when
+	// the live state itself exceeds it, the engine stays at its live
+	// size. <= 0 (the default) disables automatic reclamation. The
+	// budget is per worker, so total model memory scales with the
+	// subspace count.
 	MemoryBudget int
 	// Succ optionally restricts the potential-path successor sets used by
 	// reachability checks (e.g. to directed links, as in the paper's
@@ -287,34 +288,10 @@ type Config struct {
 	Logger *log.Logger
 }
 
-func (c *Config) subspacePreds(s *hs.Space) []bdd.Ref {
-	n := c.Subspaces
-	if n <= 1 {
-		return []bdd.Ref{bdd.True}
-	}
-	bits := 0
-	for 1<<uint(bits) < n {
-		bits++
-	}
-	if 1<<uint(bits) != n {
-		panic(fmt.Sprintf("flash: subspace count %d is not a power of two", n))
-	}
-	field := c.SubspaceField
-	if field == "" {
-		field = "dst"
-	}
-	width := c.Layout.FieldBits(field)
-	out := make([]bdd.Ref, n)
-	for i := 0; i < n; i++ {
-		out[i] = s.Prefix(field, uint64(i)<<uint(width-bits), bits)
-	}
-	return out
-}
-
 // subspaceDesc is the symbolic form of subspace i's universe predicate:
-// nil (match-all) when partitioning is off, else the same prefix
-// constraint subspacePreds compiles on a BDD space — which is what lets
-// an atom-mode worker mint its universe without any BDD engine.
+// nil (match-all) when partitioning is off, else a prefix constraint on
+// the partitioned field, so the atom and BDD engines compile the same
+// universe. A subspace count that is not a power of two panics.
 func (c *Config) subspaceDesc(i int) fib.MatchDesc {
 	n := c.Subspaces
 	if n <= 1 {
@@ -323,6 +300,9 @@ func (c *Config) subspaceDesc(i int) fib.MatchDesc {
 	bits := 0
 	for 1<<uint(bits) < n {
 		bits++
+	}
+	if 1<<uint(bits) != n {
+		panic(fmt.Sprintf("flash: subspace count %d is not a power of two", n))
 	}
 	field := c.SubspaceField
 	if field == "" {
@@ -370,13 +350,19 @@ func atomCompile(am *atoms.Engine, lay *hs.Layout, desc fib.MatchDesc) (bdd.Ref,
 
 // newAtomSubspace tries to start subspace idx on the atom engine:
 // possible when the header line fits the 63-bit atom universe and the
-// subspace predicate itself is a pure prefix interval set.
-func newAtomSubspace(cfg Config, idx int) (*atoms.Engine, bdd.Ref, bool) {
+// subspace predicate and every scope are pure prefix interval sets.
+func newAtomSubspace(cfg Config, idx int, scopes []MatchDesc) (*atoms.Engine, bdd.Ref, bool) {
 	if cfg.Layout.TotalBits() > atoms.MaxVars {
 		return nil, bdd.False, false
 	}
 	am := atoms.New(cfg.Layout.TotalBits())
 	uni, ok := atomCompile(am, cfg.Layout, cfg.subspaceDesc(idx))
+	for _, d := range scopes {
+		if !ok {
+			break
+		}
+		_, ok = atomCompile(am, cfg.Layout, d)
+	}
 	if !ok {
 		return nil, bdd.False, false
 	}
@@ -444,6 +430,287 @@ func (c *Config) numSubspaces() int {
 	return c.Subspaces
 }
 
+// ---- subspace: the per-subspace core both entry points share ----
+
+// subspace is one header subspace's verification core (§3.4): one
+// predicate engine, the subspace universe minted by it, and the mutex
+// that serializes every use of both. ModelBuilder and System workers
+// embed it and differ only in the state they keep on the engine — the
+// owner, which the core asks for its refs whenever a GC or the hybrid
+// cutover rewrites them. Memory is reclaimed inside the engine by GC;
+// the engine is replaced only by the one-way atom→BDD cutover.
+//
+//flashvet:allow bddref — universe is owned by eng, the subspace's single engine
+type subspace struct {
+	mu  sync.Mutex //flashvet:lockrank 20
+	cfg Config
+	idx int // global subspace index
+	// eng is the active predicate engine. Exactly one of space/am backs
+	// it: space.E in BDD mode (am nil), am in the hybrid atom regime
+	// (space nil).
+	eng      pred.Engine
+	space    *hs.Space
+	am       *atoms.Engine
+	universe bdd.Ref
+	owner    subspaceOwner
+	// cutovers counts one-way atom→BDD conversions (0 or 1).
+	cutovers int
+	// base carries the counters of the atom engine a cutover discarded,
+	// so exported totals never move backwards.
+	base      engineCounters
+	gcPauseNs *obs.Histogram // stop-the-world GC pause (nil = off)
+}
+
+// subspaceOwner is the worker state a subspace core collects and
+// converts along with its own refs.
+type subspaceOwner interface {
+	// ownerRoots enumerates every ref the owner holds on the engine.
+	ownerRoots(yield func(bdd.Ref))
+	// ownerRemap rewrites the owner's refs through remap. e is the new
+	// BDD engine when the remap is the hybrid cutover, nil after a GC.
+	ownerRemap(remap bdd.Remap, e *bdd.Engine)
+}
+
+// engineCounters holds the monotone activity counters of a subspace's
+// engines.
+type engineCounters struct {
+	ops, cacheHits, cacheMisses, cacheEvictions uint64
+	gcRuns, gcReclaimed                         uint64
+}
+
+// start puts subspace idx on its first engine: the atom engine under
+// PredicateHybrid when newAtomSubspace admits the subspace and its
+// atomScopes, else a BDD space — the given restored one, or a fresh one
+// when space is nil.
+func (c *subspace) start(cfg Config, idx int, owner subspaceOwner, space *hs.Space, atomScopes []MatchDesc) {
+	c.cfg, c.idx, c.owner = cfg, idx, owner
+	if space == nil && cfg.PredicateMode == PredicateHybrid {
+		if am, uni, ok := newAtomSubspace(cfg, idx, atomScopes); ok {
+			c.am, c.eng, c.universe = am, am, uni
+			return
+		}
+	}
+	if space == nil {
+		space = hs.NewSpace(cfg.Layout)
+	}
+	c.space, c.eng, c.universe = space, space.E, space.Compile(cfg.subspaceDesc(idx))
+}
+
+// core returns the embedded core, letting the helpers below range over
+// either worker type.
+func (c *subspace) core() *subspace { return c }
+
+type worker interface{ core() *subspace }
+
+// Roots enumerates every ref the subspace holds: the universe, the BDD
+// variable cache, and the owner's state. It is the GC root set, and the
+// set the cutover converts.
+func (c *subspace) Roots(yield func(bdd.Ref)) {
+	yield(c.universe)
+	if c.space != nil {
+		c.space.Roots(yield)
+	}
+	c.owner.ownerRoots(yield)
+}
+
+// gcLocked runs a mark-and-sweep pass on the engine and rewrites all
+// held refs through the remap. Callers hold c.mu.
+func (c *subspace) gcLocked() bdd.GCStats {
+	start := time.Now()
+	remap, st := c.eng.GC(c.Roots)
+	c.universe = remap.Apply(c.universe)
+	if c.space != nil {
+		c.space.RemapRefs(remap)
+	}
+	c.owner.ownerRemap(remap, nil)
+	c.gcPauseNs.Observe(time.Since(start))
+	return st
+}
+
+// budgetGCLocked enforces the memory budget after applied work: a
+// collection when the engine holds more than MemoryBudget nodes. The
+// budget is a watermark, not a hard cap — when the live state itself
+// exceeds it, the engine stays at its live size. Callers hold c.mu.
+func (c *subspace) budgetGCLocked() {
+	if b := c.cfg.MemoryBudget; b > 0 && c.eng.NumNodes() > b {
+		c.gcLocked()
+	}
+}
+
+// cutoverLocked converts the subspace's whole atom state to a fresh BDD
+// engine — the hybrid guard's one-way exit. Every live atom ref (the
+// Roots set) is rebuilt as an OR of prefix cubes, held refs are
+// rewritten through the conversion remap, the owner rebinds to the new
+// engine, and the atom engine's counters fold into base. Callers hold
+// c.mu.
+func (c *subspace) cutoverLocked() {
+	space := hs.NewSpace(c.cfg.Layout)
+	remap := atomConvert(c.am, space, c.Roots)
+	c.base = c.countersLocked()
+	c.universe = remap.Apply(c.universe)
+	c.owner.ownerRemap(remap, space.E)
+	c.space, c.eng, c.am = space, space.E, nil
+	c.cutovers++
+}
+
+// compileScope compiles a check scope on the active engine (no
+// universe intersection). In the atom regime the scope is one start
+// admitted, so it always fits.
+func (c *subspace) compileScope(desc MatchDesc) bdd.Ref {
+	if c.am != nil {
+		r, _ := atomCompile(c.am, c.cfg.Layout, desc)
+		return r
+	}
+	return c.space.Compile(desc)
+}
+
+// compileLocked compiles a rule match on the active engine,
+// intersected with the subspace universe. In atom mode a descriptor
+// the atom representation cannot hold triggers the one-way cutover to
+// BDD first, then compiles there. Callers hold c.mu.
+func (c *subspace) compileLocked(desc fib.MatchDesc) bdd.Ref {
+	if c.am != nil {
+		if r, ok := atomCompile(c.am, c.cfg.Layout, desc); ok {
+			return c.am.And(r, c.universe)
+		}
+		c.cutoverLocked()
+	}
+	return c.space.E.And(c.space.Compile(desc), c.universe)
+}
+
+// compileBlocksLocked compiles symbolic update blocks for this
+// subspace, skipping updates whose match misses the universe and blocks
+// left empty. A cutover firing mid-batch invalidates the matches
+// compiled before it in this very loop: they are atom refs held only in
+// locals, invisible to the conversion remap. The whole batch is then
+// recompiled on the post-cutover engine — the cutover is one-way, so at
+// most once. Callers hold c.mu.
+func (c *subspace) compileBlocksLocked(blocks []DeviceBlock) []fib.Block {
+	before := c.cutovers
+	out := c.compileOnceLocked(blocks)
+	if c.cutovers != before {
+		out = c.compileOnceLocked(blocks)
+	}
+	return out
+}
+
+func (c *subspace) compileOnceLocked(blocks []DeviceBlock) []fib.Block {
+	out := make([]fib.Block, 0, len(blocks))
+	for _, db := range blocks {
+		fb := fib.Block{Device: db.Device}
+		for _, u := range db.Updates {
+			match := c.compileLocked(u.Rule.Desc)
+			if match == bdd.False {
+				continue
+			}
+			fb.Updates = append(fb.Updates, fib.Update{
+				Op: u.Op,
+				Rule: fib.Rule{
+					ID: u.Rule.ID, Pri: u.Rule.Pri, Action: u.Rule.Action,
+					Match: match, Desc: u.Rule.Desc,
+				},
+			})
+		}
+		if len(fb.Updates) > 0 {
+			out = append(out, fb)
+		}
+	}
+	return out
+}
+
+// result turns one CE2D event into a Result, with a witness header
+// drawn from the event's class. Callers hold c.mu.
+func (c *subspace) result(epoch ce2d.Epoch, ev ce2d.Event) Result {
+	r := Result{
+		Subspace: c.idx,
+		Epoch:    string(epoch),
+		Check:    ev.Check,
+		Verdict:  ev.Verdict,
+		Loop:     ev.Loop,
+	}
+	if asg := c.eng.AnySat(ev.Class); asg != nil {
+		r.Witness = headerFromAssignment(c.cfg.Layout, asg)
+	}
+	return r
+}
+
+// countersLocked returns the subspace's monotone engine totals: the
+// live engine's counters plus base. Callers hold c.mu.
+func (c *subspace) countersLocked() engineCounters {
+	h, m := c.eng.CacheStats()
+	b := c.base
+	return engineCounters{
+		ops:            b.ops + c.eng.Ops(),
+		cacheHits:      b.cacheHits + h,
+		cacheMisses:    b.cacheMisses + m,
+		cacheEvictions: b.cacheEvictions + c.eng.CacheEvictions(),
+		gcRuns:         b.gcRuns + c.eng.GCRuns(),
+		gcReclaimed:    b.gcReclaimed + c.eng.ReclaimedNodes(),
+	}
+}
+
+// instrument registers the subspace's engine metrics under reg: the GC
+// pause histogram, live nodes, and the monotone op/cache/GC totals
+// (Table 3's "# Predicate Operations" and the §5.5 memory proxies).
+// The engine is single-owner state guarded by c.mu, so the gauges are
+// Func callbacks that take the lock at snapshot time rather than
+// counters on the hot path; they re-read c.eng on every sample because
+// the cutover replaces it. patNodes reports the owner's PAT store size
+// (nil reports 0).
+func (c *subspace) instrument(reg *obs.Registry, patNodes func() int) {
+	c.gcPauseNs = reg.Histogram("bdd_gc_pause_ns")
+	sample := func(f func() int) func() int64 {
+		return func() int64 {
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			return int64(f())
+		}
+	}
+	total := func(f func(engineCounters) uint64) func() int64 {
+		return sample(func() int { return int(f(c.countersLocked())) })
+	}
+	reg.Func("bdd_nodes", sample(func() int { return c.eng.NumNodes() }))
+	reg.Func("bdd_ops", total(func(t engineCounters) uint64 { return t.ops }))
+	reg.Func("bdd_cache_hits", total(func(t engineCounters) uint64 { return t.cacheHits }))
+	reg.Func("bdd_cache_misses", total(func(t engineCounters) uint64 { return t.cacheMisses }))
+	reg.Func("bdd_cache_evictions", total(func(t engineCounters) uint64 { return t.cacheEvictions }))
+	reg.Func("bdd_gc_runs", total(func(t engineCounters) uint64 { return t.gcRuns }))
+	reg.Func("bdd_gc_reclaimed_nodes", total(func(t engineCounters) uint64 { return t.gcReclaimed }))
+	if patNodes == nil {
+		patNodes = func() int { return 0 }
+	}
+	reg.Func("pat_nodes", sample(patNodes))
+}
+
+// predicateModes reports each worker's live predicate representation,
+// "atoms" or "bdd", indexed by worker position.
+func predicateModes[W worker](ws []W) []string {
+	out := make([]string, len(ws))
+	for i, w := range ws {
+		c := w.core()
+		c.mu.Lock()
+		if c.am != nil {
+			out[i] = "atoms"
+		} else {
+			out[i] = "bdd"
+		}
+		c.mu.Unlock()
+	}
+	return out
+}
+
+// predicateCutovers sums the workers' atom-to-BDD cutovers.
+func predicateCutovers[W worker](ws []W) int {
+	total := 0
+	for _, w := range ws {
+		c := w.core()
+		c.mu.Lock()
+		total += c.cutovers
+		c.mu.Unlock()
+	}
+	return total
+}
+
 // ---- ModelBuilder: offline / bootstrap model construction ----
 
 // ModelBuilder maintains the inverse model of a data plane with Fast IMT,
@@ -461,160 +728,31 @@ type ModelBuilder struct {
 	dispatchMu sync.Mutex //flashvet:lockrank 10
 }
 
-// mbWorker owns one subspace: its active engine is eng (the BDD engine
-// behind space, or the atom engine am while the subspace runs in the
-// hybrid atom regime), and universe is a ref minted by that engine.
-//
-//flashvet:allow bddref — universe is owned by eng, the worker's single engine
+// mbWorker is one ModelBuilder subspace: the core plus its Fast IMT
+// transformer and batcher.
 type mbWorker struct {
-	mu  sync.Mutex //flashvet:lockrank 20
-	cfg Config
-	idx int // global subspace index
-	// eng is the active predicate engine. Exactly one of space/am backs
-	// it: space.E in BDD mode (am nil), am in atom mode (space nil).
-	eng       pred.Engine
-	space     *hs.Space
-	am        *atoms.Engine
-	universe  bdd.Ref
+	subspace
 	transform *imt.Transformer
-	batch     *imt.Batcher  // nil unless cfg.Batch > 1
-	metrics   *obs.Registry // nil when uninstrumented
-	// cutovers counts one-way atom→BDD conversions (0 or 1).
-	cutovers int
-
-	// base carries the monotone counters of engines this worker has
-	// rotated away (Compact and the hybrid cutover discard the engine,
-	// not its history), so PredicateOps/CacheStats/GC totals never move
-	// backwards.
-	base engineCounterBase
-	// compactFloor remembers the node count a Compact rotation reached
-	// while still above the budget. While the floor exceeds the budget a
-	// further rotation cannot help (the live state itself is too big),
-	// so the worker keeps the cheap GC-only sawtooth instead of rotating
-	// after every block. Reset once the engine fits the budget again.
-	compactFloor int
-	gcPauseNs    *obs.Histogram // stop-the-world GC pause (nil = off)
+	batch     *imt.Batcher // nil unless cfg.Batch > 1
 }
 
-// engineCounterBase accumulates the monotone activity counters of
-// discarded engines.
-type engineCounterBase struct {
-	ops, cacheHits, cacheMisses, cacheEvictions uint64
-	gcRuns, gcReclaimed                         uint64
-}
-
-// absorb folds a to-be-discarded engine's counters into the base.
-func (b *engineCounterBase) absorb(e pred.Engine) {
-	b.ops += e.Ops()
-	h, m := e.CacheStats()
-	b.cacheHits += h
-	b.cacheMisses += m
-	b.cacheEvictions += e.CacheEvictions()
-	b.gcRuns += e.GCRuns()
-	b.gcReclaimed += e.ReclaimedNodes()
-}
-
-// Roots enumerates every BDD ref the worker's state holds: the subspace
-// universe, the header-space variable cache, the Fast IMT transformer
-// (EC model + device tables), and any buffered batch updates. It is the
-// worker's GC root set.
-func (w *mbWorker) Roots(yield func(bdd.Ref)) {
-	yield(w.universe)
-	if w.space != nil {
-		w.space.Roots(yield)
-	}
+// ownerRoots enumerates the Fast IMT transformer (EC model + device
+// tables) and any buffered batch updates.
+func (w *mbWorker) ownerRoots(yield func(bdd.Ref)) {
 	w.transform.Roots(yield)
 	if w.batch != nil {
 		w.batch.Roots(yield)
 	}
 }
 
-// gcLocked runs a mark-and-sweep pass on the worker's engine and
-// rewrites all held refs through the remap. Callers hold w.mu.
-func (w *mbWorker) gcLocked() bdd.GCStats {
-	start := time.Now()
-	remap, st := w.eng.GC(w.Roots)
-	w.universe = remap.Apply(w.universe)
-	if w.space != nil {
-		w.space.RemapRefs(remap)
-	}
+func (w *mbWorker) ownerRemap(remap bdd.Remap, e *bdd.Engine) {
 	w.transform.RemapRefs(remap)
+	if e != nil {
+		w.transform.E = e
+	}
 	if w.batch != nil {
 		w.batch.RemapRefs(remap)
 	}
-	w.gcPauseNs.Observe(time.Since(start))
-	return st
-}
-
-// compileLocked compiles a rule match on the active engine,
-// intersected with the subspace universe. In atom mode a descriptor
-// the atom representation cannot hold triggers the one-way cutover to
-// BDD first, then compiles there. Callers hold w.mu.
-func (w *mbWorker) compileLocked(desc fib.MatchDesc) bdd.Ref {
-	if w.am != nil {
-		if r, ok := atomCompile(w.am, w.cfg.Layout, desc); ok {
-			return w.am.And(r, w.universe)
-		}
-		w.cutoverLocked()
-	}
-	return w.space.E.And(w.space.Compile(desc), w.universe)
-}
-
-// cutoverLocked converts the subspace's whole atom state to a fresh
-// BDD engine — the hybrid guard's one-way exit. Every live atom ref
-// (the Roots set) is rebuilt as an OR of prefix cubes, held refs are
-// rewritten through the conversion remap, the Fast IMT transformer is
-// rebound, and counter history survives via base exactly as it does
-// across a Compact rotation. Callers hold w.mu.
-func (w *mbWorker) cutoverLocked() {
-	space := hs.NewSpace(w.cfg.Layout)
-	remap := atomConvert(w.am, space, w.Roots)
-	w.base.absorb(w.am)
-	w.universe = remap.Apply(w.universe)
-	w.transform.RemapRefs(remap)
-	w.transform.E = space.E
-	if w.batch != nil {
-		w.batch.RemapRefs(remap)
-	}
-	w.space = space
-	w.eng = space.E
-	w.am = nil
-	w.cutovers++
-}
-
-// maybeReclaimLocked enforces the memory budget after applied work:
-// first the cheap in-engine GC, then — only when the live state itself
-// exceeds the budget — the full Compact rotation, with compactFloor
-// guarding against rotating on every block once even a rotation cannot
-// fit the budget. Callers hold w.mu.
-func (w *mbWorker) maybeReclaimLocked() error {
-	budget := w.cfg.MemoryBudget
-	if budget <= 0 || w.eng.NumNodes() <= budget {
-		return nil
-	}
-	w.gcLocked()
-	if w.am != nil {
-		// Atom GC is already complete reclamation: the engine holds
-		// exactly the live interval sets afterwards, and there is no
-		// shared structure a rotation could deduplicate further.
-		return nil
-	}
-	if w.eng.NumNodes() <= budget {
-		w.compactFloor = 0
-		return nil
-	}
-	if w.compactFloor > budget {
-		return nil
-	}
-	if err := w.compactLocked(); err != nil {
-		return err
-	}
-	if n := w.eng.NumNodes(); n > budget {
-		w.compactFloor = n
-	} else {
-		w.compactFloor = 0
-	}
-	return nil
 }
 
 // NewModelBuilder creates a builder from the given options. A bare
@@ -627,18 +765,8 @@ func NewModelBuilder(opts ...Option) *ModelBuilder {
 	cfg := buildConfig(opts)
 	b := &ModelBuilder{cfg: cfg}
 	for i := 0; i < cfg.numSubspaces(); i++ {
-		w := &mbWorker{cfg: cfg, idx: i}
-		if cfg.PredicateMode == PredicateHybrid {
-			if am, uni, ok := newAtomSubspace(cfg, i); ok {
-				w.am, w.eng, w.universe = am, am, uni
-			}
-		}
-		if w.am == nil {
-			space := hs.NewSpace(cfg.Layout)
-			w.space = space
-			w.eng = space.E
-			w.universe = cfg.subspacePreds(space)[i]
-		}
+		w := &mbWorker{}
+		w.start(cfg, i, w, nil, nil)
 		w.transform = imt.NewTransformer(w.eng, pat.NewStore(), w.universe)
 		w.transform.PerUpdate = cfg.PerUpdate
 		w.transform.Tag = "mb/subspace" + strconv.Itoa(i)
@@ -646,66 +774,17 @@ func NewModelBuilder(opts ...Option) *ModelBuilder {
 			w.batch = imt.NewBatcher(w.transform, cfg.Batch)
 		}
 		if reg := cfg.Metrics.Sub("imt").Sub("subspace" + strconv.Itoa(i)); reg != nil {
-			w.metrics = reg
-			w.gcPauseNs = reg.Histogram("bdd_gc_pause_ns")
 			w.transform.Instrument(reg)
 			if w.batch != nil {
 				w.batch.Instrument(reg)
 			}
-			instrumentWorkerEngine(reg, &w.mu,
-				func() (pred.Engine, *pat.Store) { return w.eng, w.transform.Store },
-				func() engineCounterBase { return w.base })
+			w.instrument(reg, func() int { return w.transform.Store.NumNodes() })
 		}
 		b.workers = append(b.workers, w)
 	}
 	b.pool = sched.NewPool(cfg.Workers, len(b.workers))
 	b.pool.Instrument(cfg.Metrics.Sub("sched"))
 	return b
-}
-
-// instrumentWorkerEngine registers sampled gauges for a subspace
-// worker's BDD engine and PAT store. The engine is single-owner state
-// guarded by the worker's mutex, so the gauges are Func callbacks that
-// take the lock at snapshot time rather than counters on the hot path
-// (Table 3's "# Predicate Operations" and the §5.5 memory proxies).
-// state is re-read on every sample because Compact rotates the engine;
-// base supplies the rotated-away counter history so every counter-like
-// gauge stays monotone across rotations (bdd_nodes alone is an honest
-// gauge of live nodes — the GC sawtooth is its signal).
-func instrumentWorkerEngine(reg *obs.Registry, mu *sync.Mutex, state func() (pred.Engine, *pat.Store), base func() engineCounterBase) {
-	sample := func(f func(pred.Engine, *pat.Store, engineCounterBase) int64) func() int64 {
-		return func() int64 {
-			mu.Lock()
-			defer mu.Unlock()
-			e, ps := state()
-			return f(e, ps, base())
-		}
-	}
-	reg.Func("bdd_nodes", sample(func(e pred.Engine, _ *pat.Store, _ engineCounterBase) int64 { return int64(e.NumNodes()) }))
-	reg.Func("bdd_ops", sample(func(e pred.Engine, _ *pat.Store, b engineCounterBase) int64 { return int64(b.ops + e.Ops()) }))
-	reg.Func("bdd_cache_hits", sample(func(e pred.Engine, _ *pat.Store, b engineCounterBase) int64 {
-		h, _ := e.CacheStats()
-		return int64(b.cacheHits + h)
-	}))
-	reg.Func("bdd_cache_misses", sample(func(e pred.Engine, _ *pat.Store, b engineCounterBase) int64 {
-		_, m := e.CacheStats()
-		return int64(b.cacheMisses + m)
-	}))
-	reg.Func("bdd_cache_evictions", sample(func(e pred.Engine, _ *pat.Store, b engineCounterBase) int64 {
-		return int64(b.cacheEvictions + e.CacheEvictions())
-	}))
-	reg.Func("bdd_gc_runs", sample(func(e pred.Engine, _ *pat.Store, b engineCounterBase) int64 {
-		return int64(b.gcRuns + e.GCRuns())
-	}))
-	reg.Func("bdd_gc_reclaimed_nodes", sample(func(e pred.Engine, _ *pat.Store, b engineCounterBase) int64 {
-		return int64(b.gcReclaimed + e.ReclaimedNodes())
-	}))
-	reg.Func("pat_nodes", sample(func(_ pred.Engine, ps *pat.Store, _ engineCounterBase) int64 {
-		if ps == nil {
-			return 0
-		}
-		return int64(ps.NumNodes())
-	}))
 }
 
 // NumSubspaces reports the number of parallel subspace workers.
@@ -716,32 +795,12 @@ func (b *ModelBuilder) NumSubspaces() int { return len(b.workers) }
 // PredicateBDD every entry is "bdd"; under PredicateHybrid an entry
 // flips from "atoms" to "bdd" permanently when the subspace's cutover
 // guard fires (see WithPredicateMode).
-func (b *ModelBuilder) PredicateModes() []string {
-	out := make([]string, len(b.workers))
-	for i, w := range b.workers {
-		w.mu.Lock()
-		if w.am != nil {
-			out[i] = "atoms"
-		} else {
-			out[i] = "bdd"
-		}
-		w.mu.Unlock()
-	}
-	return out
-}
+func (b *ModelBuilder) PredicateModes() []string { return predicateModes(b.workers) }
 
 // PredicateCutovers reports the total number of atom-to-BDD cutovers
 // that have fired across subspace workers. Each subspace converts at
 // most once, so the count is bounded by the subspace count.
-func (b *ModelBuilder) PredicateCutovers() int {
-	total := 0
-	for _, w := range b.workers {
-		w.mu.Lock()
-		total += w.cutovers
-		w.mu.Unlock()
-	}
-	return total
-}
+func (b *ModelBuilder) PredicateCutovers() int { return predicateCutovers(b.workers) }
 
 // ApplyBlock feeds one batch of per-device symbolic update blocks to all
 // subspace workers via the work-stealing scheduler. Every rule must
@@ -753,18 +812,7 @@ func (b *ModelBuilder) PredicateCutovers() int {
 func (b *ModelBuilder) ApplyBlock(blocks []DeviceBlock) error {
 	b.dispatchMu.Lock()
 	defer b.dispatchMu.Unlock()
-	errs := make([]error, len(b.workers))
-	for i, w := range b.workers {
-		i, w := i, w
-		b.pool.Submit(i, func() { errs[i] = w.apply(blocks) })
-	}
-	b.pool.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return b.eachLocked(func(w *mbWorker) error { return w.apply(blocks) })
 }
 
 // Flush forces every worker's pending batched updates through the Fast
@@ -781,10 +829,16 @@ func (b *ModelBuilder) flushLocked() error {
 	if b.cfg.Batch <= 1 {
 		return nil
 	}
+	return b.eachLocked((*mbWorker).flush)
+}
+
+// eachLocked runs f on every worker through the work-stealing scheduler
+// and returns the first error in subspace order. Callers hold
+// b.dispatchMu.
+func (b *ModelBuilder) eachLocked(f func(*mbWorker) error) error {
 	errs := make([]error, len(b.workers))
 	for i, w := range b.workers {
-		i, w := i, w
-		b.pool.Submit(i, func() { errs[i] = w.flush() })
+		b.pool.Submit(i, func() { errs[i] = f(w) })
 	}
 	b.pool.Wait()
 	for _, err := range errs {
@@ -809,7 +863,8 @@ func (w *mbWorker) flush() (err error) {
 	if err := w.batch.Flush(); err != nil {
 		return err
 	}
-	return w.maybeReclaimLocked()
+	w.budgetGCLocked()
+	return nil
 }
 
 // DeviceBlock is a block of symbolic updates for one device.
@@ -828,38 +883,7 @@ func (w *mbWorker) apply(blocks []DeviceBlock) (err error) {
 			err = fmt.Errorf("flash: subspace worker panic: %v", r)
 		}
 	}()
-	compileAll := func() []fib.Block {
-		compiled := make([]fib.Block, 0, len(blocks))
-		for _, db := range blocks {
-			fb := fib.Block{Device: db.Device}
-			for _, u := range db.Updates {
-				match := w.compileLocked(u.Rule.Desc)
-				if match == bdd.False {
-					continue
-				}
-				fb.Updates = append(fb.Updates, fib.Update{
-					Op: u.Op,
-					Rule: fib.Rule{
-						ID: u.Rule.ID, Pri: u.Rule.Pri, Action: u.Rule.Action,
-						Match: match, Desc: u.Rule.Desc,
-					},
-				})
-			}
-			if len(fb.Updates) > 0 {
-				compiled = append(compiled, fb)
-			}
-		}
-		return compiled
-	}
-	// A cutover firing mid-batch invalidates the matches compiled before
-	// it in this very loop: they are atom refs held only in locals here,
-	// invisible to the conversion remap. Recompile the whole batch on the
-	// post-cutover engine — the cutover is one-way, so at most once.
-	before := w.cutovers
-	compiled := compileAll()
-	if w.cutovers != before {
-		compiled = compileAll()
-	}
+	compiled := w.compileBlocksLocked(blocks)
 	if w.batch != nil {
 		err = w.batch.Add(compiled)
 	} else {
@@ -868,13 +892,13 @@ func (w *mbWorker) apply(blocks []DeviceBlock) (err error) {
 	if err != nil {
 		return err
 	}
-	return w.maybeReclaimLocked()
+	w.budgetGCLocked()
+	return nil
 }
 
 // GC forces an immediate mark-and-sweep pass on every subspace engine,
-// returning the total node count reclaimed. Unlike Compact it keeps the
-// engines (and their counter history) and releases only unreachable
-// nodes — it is the cheap reclamation the MemoryBudget watermark
+// returning the total node count reclaimed. It releases only nodes no
+// held ref can reach — the same reclamation the MemoryBudget watermark
 // triggers automatically. Pending batches are flushed first.
 func (b *ModelBuilder) GC() (int, error) {
 	b.dispatchMu.Lock()
@@ -890,99 +914,6 @@ func (b *ModelBuilder) GC() (int, error) {
 		total += st.Reclaimed
 	}
 	return total, nil
-}
-
-// Compact rebuilds every subspace worker onto a fresh BDD engine from
-// the symbolic descriptors of its installed rules. It is the heavyweight
-// reclamation: where GC sweeps nodes no held ref can reach, a rotation
-// also de-duplicates the live structure itself (re-compiling from
-// descriptors rebuilds each predicate minimally), at the cost of
-// re-running the whole Fast IMT pipeline. Every installed rule must
-// carry a symbolic descriptor. Counter history survives rotation via
-// the per-worker base (PredicateOps/CacheStats stay monotone).
-func (b *ModelBuilder) Compact() error {
-	b.dispatchMu.Lock()
-	defer b.dispatchMu.Unlock()
-	if err := b.flushLocked(); err != nil {
-		return err
-	}
-	for _, w := range b.workers {
-		if err := w.compact(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (w *mbWorker) compact() (err error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("flash: subspace worker panic during compact: %v", r)
-		}
-	}()
-	return w.compactLocked()
-}
-
-// compactLocked rotates the worker onto a fresh engine, folding the old
-// engine's counters into the base first so exported totals never drop.
-// An atom-mode worker runs a GC pass instead: atoms hold exactly the
-// live interval sets after collection, so a rotation has nothing left
-// to deduplicate. Callers hold w.mu.
-func (w *mbWorker) compactLocked() error {
-	if w.am != nil {
-		w.gcLocked()
-		return nil
-	}
-	cfg := w.cfg
-	space := hs.NewSpace(cfg.Layout)
-	var universe bdd.Ref = bdd.True
-	if cfg.Subspaces > 1 {
-		// Recompute this worker's subspace predicate on the new engine.
-		universe = cfg.subspacePreds(space)[w.idx]
-	}
-	tr := imt.NewTransformer(space.E, pat.NewStore(), universe)
-	tr.PerUpdate = cfg.PerUpdate
-	tr.Tag = w.transform.Tag
-	tr.Instrument(w.metrics) // rotation keeps the same metric handles
-	var blocks []fib.Block
-	for _, dev := range w.transform.Devices() {
-		blk := fib.Block{Device: dev}
-		for _, r := range w.transform.Table(dev).Rules() {
-			if r.Desc == nil {
-				return fmt.Errorf("flash: device %d rule %d has no descriptor; cannot compact", dev, r.ID)
-			}
-			nr := r
-			nr.Match = space.E.And(space.Compile(r.Desc), universe)
-			if nr.Match == bdd.False {
-				continue
-			}
-			blk.Updates = append(blk.Updates, fib.Update{Op: fib.Insert, Rule: nr})
-		}
-		if len(blk.Updates) > 0 {
-			blocks = append(blocks, blk)
-		}
-	}
-	if err := tr.ApplyBlock(blocks); err != nil {
-		return err
-	}
-	// The rotation is committed: fold the outgoing engine's counters
-	// into the base so exported totals stay monotone.
-	w.base.absorb(w.eng)
-	w.space = space
-	w.eng = space.E
-	w.universe = universe
-	w.transform = tr
-	if w.batch != nil {
-		// The batcher is empty here (Compact flushes first); rebind it to
-		// the rotated transformer.
-		w.batch = imt.NewBatcher(tr, w.batch.Max)
-		if w.metrics != nil {
-			w.batch.Instrument(w.metrics)
-		}
-	}
-	return nil
 }
 
 // ActionAt returns the forwarding action device dev applies to the given
@@ -1047,45 +978,26 @@ type System struct {
 	feedHook func(subspace int, m Msg)
 }
 
-// sysWorker owns one subspace: universe is minted by eng, the worker's
-// single active engine (space.E in BDD mode, am in the hybrid atom
-// regime), which the dispatcher's verifier factory also reads.
-//
-//flashvet:allow bddref — universe is owned by eng, the worker's single engine
+// sysWorker is one System subspace: the core plus the compiled checks,
+// the CE2D dispatcher with its per-epoch verifiers, and pinned snapshot
+// captures.
 type sysWorker struct {
-	mu  sync.Mutex //flashvet:lockrank 20
-	cfg Config
-	idx int
-	// eng is the active predicate engine; exactly one of space/am backs
-	// it (see mbWorker).
-	eng      pred.Engine
-	space    *hs.Space
-	am       *atoms.Engine
-	universe bdd.Ref
-	// cutovers counts one-way atom→BDD conversions (0 or 1).
-	cutovers int
+	subspace
 	// checks is the worker-owned compiled check set; the verifier
 	// factory reads it (not a captured snapshot) so verifiers created
 	// after a GC see the remapped Spaces.
 	checks []ce2d.Check
-	budget int // cfg.MemoryBudget; <= 0 disables automatic GC
 	disp   *ce2d.Dispatcher
 	// snaps pins live Snapshot captures: each holds a cloned transformer
 	// whose refs must survive GC until the snapshot is released.
-	snaps     []*snapSub
-	feedNs    *obs.Histogram // per-message verification latency (nil = off)
-	gcPauseNs *obs.Histogram // stop-the-world GC pause (nil = off)
+	snaps  []*snapSub
+	feedNs *obs.Histogram // per-message verification latency (nil = off)
 }
 
-// Roots enumerates every BDD ref the subspace holds: the universe, the
-// variable cache, each compiled check space, pinned snapshot captures,
-// and — via the dispatcher — the queued messages and every live
-// per-epoch verifier. It is the worker's GC root set.
-func (w *sysWorker) Roots(yield func(bdd.Ref)) {
-	yield(w.universe)
-	if w.space != nil {
-		w.space.Roots(yield)
-	}
+// ownerRoots enumerates each compiled check space, pinned snapshot
+// captures, and — via the dispatcher — the queued messages and every
+// live per-epoch verifier.
+func (w *sysWorker) ownerRoots(yield func(bdd.Ref)) {
 	for i := range w.checks {
 		yield(w.checks[i].Space)
 	}
@@ -1095,73 +1007,33 @@ func (w *sysWorker) Roots(yield func(bdd.Ref)) {
 	w.disp.Roots(yield)
 }
 
-// gcLocked runs a mark-and-sweep pass on the subspace engine and
-// rewrites all held refs. Callers hold w.mu.
-func (w *sysWorker) gcLocked() bdd.GCStats {
-	start := time.Now()
-	remap, st := w.eng.GC(w.Roots)
-	w.universe = remap.Apply(w.universe)
-	if w.space != nil {
-		w.space.RemapRefs(remap)
-	}
+func (w *sysWorker) ownerRemap(remap bdd.Remap, e *bdd.Engine) {
 	for i := range w.checks {
 		w.checks[i].Space = remap.Apply(w.checks[i].Space)
 	}
 	for _, ss := range w.snaps {
 		ss.trans.RemapRefs(remap)
-	}
-	w.disp.RemapRefs(remap)
-	w.gcPauseNs.Observe(time.Since(start))
-	return st
-}
-
-// compileLocked compiles a rule match on the active engine,
-// intersected with the subspace universe, cutting the subspace over to
-// BDD first when atoms cannot hold the descriptor. Callers hold w.mu.
-func (w *sysWorker) compileLocked(desc fib.MatchDesc) bdd.Ref {
-	if w.am != nil {
-		if r, ok := atomCompile(w.am, w.cfg.Layout, desc); ok {
-			return w.am.And(r, w.universe)
+		if e != nil {
+			ss.trans.E = e
 		}
-		w.cutoverLocked()
-	}
-	return w.space.E.And(w.space.Compile(desc), w.universe)
-}
-
-// cutoverLocked converts the subspace's whole atom state — universe,
-// compiled check spaces, queued dispatcher messages, every live
-// per-epoch verifier, and any pinned snapshot captures — to a fresh
-// BDD engine, one way. A what-if transaction can trigger it exactly
-// like a live feed (both funnel through compileLocked). Callers hold
-// w.mu.
-func (w *sysWorker) cutoverLocked() {
-	space := hs.NewSpace(w.cfg.Layout)
-	remap := atomConvert(w.am, space, w.Roots)
-	w.universe = remap.Apply(w.universe)
-	for i := range w.checks {
-		w.checks[i].Space = remap.Apply(w.checks[i].Space)
-	}
-	for _, ss := range w.snaps {
-		ss.trans.RemapRefs(remap)
-		ss.trans.E = space.E
 	}
 	w.disp.RemapRefs(remap)
-	w.disp.Rebind(space.E)
-	w.space = space
-	w.eng = space.E
-	w.am = nil
-	w.cutovers++
+	if e != nil {
+		w.disp.Rebind(e)
+	}
 }
 
-// maybeGCLocked runs a collection when the engine exceeds the memory
-// budget. The online path has no Compact fallback: per-epoch verifiers
-// cannot be rebuilt from descriptors mid-epoch, so when the live
-// detection state itself exceeds the budget the engine simply stays at
-// its live size (the budget is a watermark, not a hard cap). Callers
-// hold w.mu.
-func (w *sysWorker) maybeGCLocked() {
-	if w.budget > 0 && w.eng.NumNodes() > w.budget {
-		w.gcLocked()
+// verifierConfig is the CE2D configuration of every verifier this
+// subspace runs: live per-epoch, restored, and what-if alike. It reads
+// the worker's current engine and refs, so a verifier created after a
+// GC or cutover starts from the rewritten ones. Callers hold w.mu.
+func (w *sysWorker) verifierConfig() ce2d.Config {
+	return ce2d.Config{
+		Topo:     w.cfg.Topo,
+		Engine:   w.eng,
+		Universe: w.universe,
+		Checks:   w.checks,
+		Succ:     w.cfg.Succ,
 	}
 }
 
@@ -1170,80 +1042,87 @@ func (w *sysWorker) maybeGCLocked() {
 // as an option, so the original NewSystem(Config{...}) call style keeps
 // working.
 func NewSystem(opts ...Option) (*System, error) {
-	cfg := buildConfig(opts)
-	s := &System{cfg: cfg, poisoned: make(map[int]string)}
-	s.bus = newVerdictBus(cfg.Metrics)
-	s.workerPanics = cfg.Metrics.Sub("ce2d").Counter("worker_panics")
+	return newSystem(buildConfig(opts), nil)
+}
+
+// newSystem builds a System over cfg's subspace set. Subspaces with a
+// checkpoint section in restored are rebuilt from it; the rest start
+// fresh.
+func newSystem(cfg Config, restored map[int]*ckpt.Subspace) (*System, error) {
 	set, err := cfg.subspaceSet(cfg.numSubspaces())
 	if err != nil {
 		return nil, err
 	}
+	s := &System{cfg: cfg, poisoned: make(map[int]string)}
+	s.bus = newVerdictBus(cfg.Metrics)
+	s.workerPanics = cfg.Metrics.Sub("ce2d").Counter("worker_panics")
 	for _, i := range set {
-		w := &sysWorker{cfg: cfg, idx: i, budget: cfg.MemoryBudget}
-		if cfg.PredicateMode == PredicateHybrid {
-			if am, uni, ok := newAtomSubspace(cfg, i); ok {
-				checks, compiled, err := compileChecks(cfg, func(d MatchDesc) (bdd.Ref, bool) {
-					return atomCompile(am, cfg.Layout, d)
-				})
-				if err != nil {
-					return nil, err
-				}
-				// A check space atoms cannot hold (a ternary ACL scope,
-				// say) makes this subspace start on BDD directly rather
-				// than cut over on its first message.
-				if compiled {
-					w.am, w.eng, w.universe, w.checks = am, am, uni, checks
-				}
-			}
-		}
-		if w.am == nil {
-			space := hs.NewSpace(cfg.Layout)
-			checks, _, err := compileChecks(cfg, func(d MatchDesc) (bdd.Ref, bool) {
-				return space.Compile(d), true
-			})
-			if err != nil {
-				return nil, err
-			}
-			w.space = space
-			w.eng = space.E
-			w.universe = cfg.subspacePreds(space)[i]
-			w.checks = checks
-		}
-		// Per-subspace observability: the dispatcher publishes CE2D
-		// progress under ce2d/subspace<i>, and every per-epoch verifier's
-		// Fast IMT transformer shares the nested imt sub-registry, so
-		// transform timings accumulate across epochs. All of it is nil
-		// (and therefore free) without WithMetrics.
-		sreg := cfg.Metrics.Sub("ce2d").Sub("subspace" + strconv.Itoa(i))
-		ireg := sreg.Sub("imt")
-		// The factory reads universe/checks from the worker, not the loop
-		// locals: a GC remaps those fields, and a verifier created for a
-		// later epoch must start from the post-GC refs.
-		w.disp = ce2d.NewDispatcher(func(ce2d.Epoch) *ce2d.Verifier {
-			v := ce2d.NewVerifier(ce2d.Config{
-				Topo:     cfg.Topo,
-				Engine:   w.eng,
-				Universe: w.universe,
-				Checks:   w.checks,
-				Succ:     cfg.Succ,
-			})
-			v.Transformer().Tag = "ce2d/subspace" + strconv.Itoa(i)
-			v.Transformer().Instrument(ireg)
-			return v
-		})
-		w.disp.Instrument(sreg)
-		if sreg != nil {
-			w.feedNs = sreg.Histogram("feed_ns")
-			w.gcPauseNs = sreg.Histogram("bdd_gc_pause_ns")
-			instrumentWorkerEngine(sreg, &w.mu,
-				func() (pred.Engine, *pat.Store) { return w.eng, nil },
-				func() engineCounterBase { return engineCounterBase{} })
+		w, err := newSysWorker(cfg, i, restored[i])
+		if err != nil {
+			return nil, err
 		}
 		s.workers = append(s.workers, w)
 	}
 	s.pool = sched.NewPool(cfg.Workers, len(s.workers))
 	s.pool.Instrument(cfg.Metrics.Sub("sched"))
 	return s, nil
+}
+
+// newSysWorker builds subspace idx's worker. With a checkpoint section
+// the BDD node dump is replayed into the engine (restored subspaces
+// always come back in BDD mode; capture converts atom subspaces first)
+// and the dispatcher is rebuilt from the serialized state.
+func newSysWorker(cfg Config, idx int, sub *ckpt.Subspace) (*sysWorker, error) {
+	w := &sysWorker{}
+	var space *hs.Space
+	if sub != nil {
+		e, err := bdd.NewFromNodes(cfg.Layout.TotalBits(), sub.BDD)
+		if err != nil {
+			return nil, fmt.Errorf("flash: restore subspace %d: %w", idx, err)
+		}
+		space = hs.NewSpaceOn(e, cfg.Layout)
+	}
+	// Checks must compile on atoms for a subspace to start there: a check
+	// scope atoms cannot hold (a ternary ACL scope, say) makes the
+	// subspace start on BDD directly rather than cut over on its first
+	// message.
+	scopes := make([]MatchDesc, len(cfg.Checks))
+	for i, cs := range cfg.Checks {
+		scopes[i] = cs.Space
+	}
+	w.start(cfg, idx, w, space, scopes)
+	checks, err := compileChecks(cfg, w.compileScope)
+	if err != nil {
+		return nil, err
+	}
+	w.checks = checks
+	// Per-subspace observability: the dispatcher publishes CE2D progress
+	// under ce2d/subspace<i>, and every per-epoch verifier's Fast IMT
+	// transformer shares the nested imt sub-registry, so transform
+	// timings accumulate across epochs. All of it is nil (and therefore
+	// free) without WithMetrics.
+	sreg := cfg.Metrics.Sub("ce2d").Sub("subspace" + strconv.Itoa(idx))
+	ireg := sreg.Sub("imt")
+	tag := "ce2d/subspace" + strconv.Itoa(idx)
+	factory := func(ce2d.Epoch) *ce2d.Verifier {
+		v := ce2d.NewVerifier(w.verifierConfig())
+		v.Transformer().Tag = tag
+		v.Transformer().Instrument(ireg)
+		return v
+	}
+	if sub != nil {
+		if w.disp, err = w.restoreDispatcher(sub, ireg, factory); err != nil {
+			return nil, fmt.Errorf("flash: restore subspace %d: %w", idx, err)
+		}
+	} else {
+		w.disp = ce2d.NewDispatcher(factory)
+	}
+	w.disp.Instrument(sreg)
+	if sreg != nil {
+		w.feedNs = sreg.Histogram("feed_ns")
+		w.instrument(sreg, nil)
+	}
+	return w, nil
 }
 
 // Checks returns the verification requirements the system was built
@@ -1265,47 +1144,19 @@ func (s *System) Logger() *log.Logger { return s.cfg.Logger }
 // Under PredicateBDD every entry is "bdd"; under PredicateHybrid an
 // entry flips from "atoms" to "bdd" permanently when the subspace's
 // cutover guard fires (see WithPredicateMode).
-func (s *System) PredicateModes() []string {
-	out := make([]string, len(s.workers))
-	for i, w := range s.workers {
-		w.mu.Lock()
-		if w.am != nil {
-			out[i] = "atoms"
-		} else {
-			out[i] = "bdd"
-		}
-		w.mu.Unlock()
-	}
-	return out
-}
+func (s *System) PredicateModes() []string { return predicateModes(s.workers) }
 
 // PredicateCutovers reports the total number of atom-to-BDD cutovers
 // that have fired across subspace workers. Each subspace converts at
 // most once, so the count is bounded by the subspace count.
-func (s *System) PredicateCutovers() int {
-	total := 0
-	for _, w := range s.workers {
-		w.mu.Lock()
-		total += w.cutovers
-		w.mu.Unlock()
-	}
-	return total
-}
+func (s *System) PredicateCutovers() int { return predicateCutovers(s.workers) }
 
 // compileChecks builds the worker-owned check set, compiling each check
-// scope through the supplied predicate compiler. compile reports
-// ok=false when the scope cannot live on the chosen representation (the
-// atom path's pure-prefix guard); compileChecks then stops and returns
-// compiled=false so the caller can fall back to the BDD path. The BDD
-// compiler never fails.
-func compileChecks(cfg Config, compile func(MatchDesc) (bdd.Ref, bool)) ([]ce2d.Check, bool, error) {
+// scope through the supplied predicate compiler.
+func compileChecks(cfg Config, compile func(MatchDesc) bdd.Ref) ([]ce2d.Check, error) {
 	var out []ce2d.Check
 	for _, cs := range cfg.Checks {
-		sp, ok := compile(cs.Space)
-		if !ok {
-			return nil, false, nil
-		}
-		c := ce2d.Check{Name: cs.Name, Space: sp}
+		c := ce2d.Check{Name: cs.Name, Space: compile(cs.Space)}
 		switch cs.Kind {
 		case CheckReach, CheckAnycast, CheckMulticast, CheckCoverage:
 			switch cs.Kind {
@@ -1320,30 +1171,30 @@ func compileChecks(cfg Config, compile func(MatchDesc) (bdd.Ref, bool)) ([]ce2d.
 			}
 			expr, err := spec.Parse(cs.Expr)
 			if err != nil {
-				return nil, false, fmt.Errorf("flash: check %q: %w", cs.Name, err)
+				return nil, fmt.Errorf("flash: check %q: %w", cs.Name, err)
 			}
 			c.Expr = expr
 			for _, name := range cs.Sources {
 				id, ok := cfg.Topo.ByName(name)
 				if !ok {
-					return nil, false, fmt.Errorf("flash: check %q: unknown source %q: %w", cs.Name, name, ErrUnknownDevice)
+					return nil, fmt.Errorf("flash: check %q: unknown source %q: %w", cs.Name, name, ErrUnknownDevice)
 				}
 				c.Sources = append(c.Sources, id)
 			}
 			for _, name := range cs.Dests {
 				id, ok := cfg.Topo.ByName(name)
 				if !ok {
-					return nil, false, fmt.Errorf("flash: check %q: unknown dest %q: %w", cs.Name, name, ErrUnknownDevice)
+					return nil, fmt.Errorf("flash: check %q: unknown dest %q: %w", cs.Name, name, ErrUnknownDevice)
 				}
 				c.Dests = append(c.Dests, id)
 			}
 			if (cs.Kind == CheckAnycast || cs.Kind == CheckMulticast) && len(c.Dests) == 0 {
-				return nil, false, fmt.Errorf("flash: check %q: %v needs Dests", cs.Name, cs.Kind)
+				return nil, fmt.Errorf("flash: check %q: %v needs Dests", cs.Name, cs.Kind)
 			}
 			if cs.Dest != "" {
 				dst, ok := cfg.Topo.ByName(cs.Dest)
 				if !ok {
-					return nil, false, fmt.Errorf("flash: check %q: unknown dest %q: %w", cs.Name, cs.Dest, ErrUnknownDevice)
+					return nil, fmt.Errorf("flash: check %q: unknown dest %q: %w", cs.Name, cs.Dest, ErrUnknownDevice)
 				}
 				c.IsDest = func(n topo.NodeID) bool { return n == dst }
 			} else {
@@ -1356,43 +1207,33 @@ func compileChecks(cfg Config, compile func(MatchDesc) (bdd.Ref, bool)) ([]ce2d.
 				for _, name := range cs.ExitNodes {
 					id, ok := cfg.Topo.ByName(name)
 					if !ok {
-						return nil, false, fmt.Errorf("flash: check %q: unknown exit node %q: %w", cs.Name, name, ErrUnknownDevice)
+						return nil, fmt.Errorf("flash: check %q: unknown exit node %q: %w", cs.Name, name, ErrUnknownDevice)
 					}
 					exits[id] = true
 				}
 				c.CanExit = func(n topo.NodeID) bool { return exits[n] }
 			}
 		default:
-			return nil, false, fmt.Errorf("flash: check %q: unknown kind %d", cs.Name, cs.Kind)
+			return nil, fmt.Errorf("flash: check %q: unknown kind %d", cs.Name, cs.Kind)
 		}
 		out = append(out, c)
 	}
-	return out, true, nil
+	return out, nil
 }
 
-// Feed delivers one epoch-tagged agent message to every subspace worker
-// (in parallel) and returns the deterministic results it triggered. It
-// is FeedContext with a background context.
-//
-// Deprecated: use FeedContext so ingestion participates in the caller's
-// cancellation tree. Feed remains for compatibility and is equivalent to
-// FeedContext(context.Background(), m).
-//
-//flashvet:allow ctxfeed — compatibility wrapper; this is where context-free callers get their root context
-func (s *System) Feed(m Msg) ([]Result, error) {
-	return s.FeedContext(context.Background(), m)
-}
-
-// FeedContext is Feed with cancellation: if ctx is canceled before a
-// subspace worker picks the message up, that worker returns ctx.Err()
-// and the message is not applied there. Cancellation is checked at
-// worker boundaries (a worker that has started applying a block always
-// finishes it, keeping the per-subspace models consistent).
+// FeedContext delivers one epoch-tagged agent message to every subspace
+// worker (in parallel) and returns the deterministic results it
+// triggered. If ctx is canceled before a subspace worker picks the
+// message up, that worker returns ctx.Err() and the message is not
+// applied there. Cancellation is checked at worker boundaries (a worker
+// that has started applying a block always finishes it, keeping the
+// per-subspace models consistent).
 //
 // A worker that panics is quarantined: the panic is recovered, counted
 // under ce2d/worker_panics, and the subspace is skipped by every later
-// Feed. Results from healthy subspaces are still returned; only when
-// every subspace is poisoned does Feed fail (with ErrSubspacePoisoned).
+// feed. Results from healthy subspaces are still returned; only when
+// every subspace is poisoned does FeedContext fail (with
+// ErrSubspacePoisoned).
 func (s *System) FeedContext(ctx context.Context, m Msg) ([]Result, error) {
 	return s.FeedBatch(ctx, []Msg{m})
 }
@@ -1450,7 +1291,7 @@ func (s *System) FeedBatch(ctx context.Context, msgs []Msg) ([]Result, error) {
 		return nil, fmt.Errorf("flash: all %d subspaces are quarantined: %w", len(s.workers), ErrSubspacePoisoned)
 	}
 	// Merge in (message, subspace) order — exactly the concatenation a
-	// sequential Feed loop would produce.
+	// sequential FeedContext loop would produce.
 	var out []Result
 	for mi := range msgs {
 		for i := range s.workers {
@@ -1463,7 +1304,7 @@ func (s *System) FeedBatch(ctx context.Context, msgs []Msg) ([]Result, error) {
 		}
 	}
 	// Workers are iterated in subspace order, so out is already sorted by
-	// (message index, subspace) — the same order a sequential Feed loop
+	// (message index, subspace) — the same order a sequential FeedContext loop
 	// (which sorts each message's results by subspace) would emit.
 	//
 	// This merge point is the single place live results materialize, so
@@ -1658,7 +1499,7 @@ func (w *sysWorker) feedAll(ctx context.Context, msgs []Msg, hook func(Msg)) ([]
 	// Watermark check once per batch: results for this batch are already
 	// materialized (witnesses extracted), so collecting here cannot
 	// invalidate anything the caller sees.
-	w.maybeGCLocked()
+	w.budgetGCLocked()
 	return out, nil
 }
 
@@ -1668,30 +1509,9 @@ func (w *sysWorker) feedOne(m Msg) ([]Result, error) {
 	if w.feedNs != nil {
 		start = time.Now()
 	}
-	compileAll := func() []fib.Update {
-		var ups []fib.Update
-		for _, u := range m.Updates {
-			match := w.compileLocked(u.Rule.Desc)
-			if match == bdd.False {
-				continue
-			}
-			ups = append(ups, fib.Update{
-				Op: u.Op,
-				Rule: fib.Rule{
-					ID: u.Rule.ID, Pri: u.Rule.Pri, Action: u.Rule.Action,
-					Match: match, Desc: u.Rule.Desc,
-				},
-			})
-		}
-		return ups
-	}
-	// Matches compiled before a mid-message cutover are stale atom refs
-	// held only in this loop's locals; recompile the whole message on the
-	// post-cutover engine (one-way guard, so at most one restart).
-	before := w.cutovers
-	ups := compileAll()
-	if w.cutovers != before {
-		ups = compileAll()
+	var ups []fib.Update
+	if blks := w.compileBlocksLocked([]DeviceBlock{{Device: m.Device, Updates: m.Updates}}); len(blks) > 0 {
+		ups = blks[0].Updates
 	}
 	evs, err := w.disp.Receive(ce2d.Msg{Device: m.Device, Epoch: ce2d.Epoch(m.Epoch), Updates: ups})
 	if err != nil {
@@ -1699,17 +1519,7 @@ func (w *sysWorker) feedOne(m Msg) ([]Result, error) {
 	}
 	out := make([]Result, 0, len(evs))
 	for _, te := range evs {
-		r := Result{
-			Subspace: w.idx,
-			Epoch:    string(te.Epoch),
-			Check:    te.Event.Check,
-			Verdict:  te.Event.Verdict,
-			Loop:     te.Event.Loop,
-		}
-		if asg := w.eng.AnySat(te.Event.Class); asg != nil {
-			r.Witness = headerFromAssignment(w.cfg.Layout, asg)
-		}
-		out = append(out, r)
+		out = append(out, w.result(te.Epoch, te.Event))
 	}
 	if w.feedNs != nil {
 		w.feedNs.Observe(time.Since(start))

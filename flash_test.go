@@ -231,9 +231,9 @@ func TestBadSubspaceCountPanics(t *testing.T) {
 	NewModelBuilder(Config{Topo: lineTopo(), Layout: dst8, Subspaces: 3})
 }
 
-// TestModelBuilderCompact: engine rotation must shed dead nodes after
-// churn while preserving every point query.
-func TestModelBuilderCompact(t *testing.T) {
+// TestModelBuilderGC: an explicit GC must shed dead nodes after churn
+// while preserving every point query, and later updates still apply.
+func TestModelBuilderGC(t *testing.T) {
 	b := NewModelBuilder(Config{Topo: lineTopo(), Layout: dst8, Subspaces: 2})
 	// Install a base plane, then churn: many short-lived rules.
 	base := []DeviceBlock{
@@ -258,7 +258,7 @@ func TestModelBuilderCompact(t *testing.T) {
 		}
 	}
 	before := b.StatsSnapshot().MemoryNodes
-	// Record queries before compaction.
+	// Record queries before collection.
 	type q struct {
 		dev DeviceID
 		h   uint64
@@ -275,12 +275,12 @@ func TestModelBuilderCompact(t *testing.T) {
 			want = append(want, a)
 		}
 	}
-	if err := b.Compact(); err != nil {
+	if _, err := b.GC(); err != nil {
 		t.Fatal(err)
 	}
 	after := b.StatsSnapshot().MemoryNodes
 	if after >= before {
-		t.Errorf("Compact did not shrink memory: %d -> %d", before, after)
+		t.Errorf("GC did not shrink memory: %d -> %d", before, after)
 	}
 	for i, qq := range queries {
 		a, err := b.ActionAt(qq.dev, []uint64{qq.h})
@@ -288,10 +288,10 @@ func TestModelBuilderCompact(t *testing.T) {
 			t.Fatal(err)
 		}
 		if a != want[i] {
-			t.Fatalf("query (%d,%#x) changed after Compact: %v -> %v", qq.dev, qq.h, want[i], a)
+			t.Fatalf("query (%d,%#x) changed after GC: %v -> %v", qq.dev, qq.h, want[i], a)
 		}
 	}
-	// Further updates still work after rotation.
+	// Further updates still work on the collected engines.
 	if err := b.ApplyBlock([]DeviceBlock{{Device: 0, Updates: []Update{
 		{Op: fib.Insert, Rule: Rule{ID: 999, Pri: 9, Action: Drop,
 			Desc: MatchDesc{{Field: "dst", Kind: fib.MatchPrefix, Value: 0x40, Len: 2}}}},
@@ -299,7 +299,7 @@ func TestModelBuilderCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 	if a, _ := b.ActionAt(0, []uint64{0x41}); a != Drop {
-		t.Fatalf("post-compact update not applied: %v", a)
+		t.Fatalf("post-GC update not applied: %v", a)
 	}
 }
 

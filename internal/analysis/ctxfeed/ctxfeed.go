@@ -9,10 +9,9 @@
 // verifier.
 //
 // Flagged: any call to context.Background or context.TODO outside
-// package main and outside test files. The two documented compatibility
-// wrappers (Service.Feed and Pipeline.Feed, which exist precisely to
-// give context-free callers a root context) carry //flashvet:allow
-// ctxfeed directives.
+// package main and outside test files. The few library functions that
+// genuinely own a root context (the pipeline's drain worker, the
+// server's Serve entry point) carry //flashvet:allow ctxfeed directives.
 package ctxfeed
 
 import (

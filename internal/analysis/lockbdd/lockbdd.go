@@ -19,9 +19,9 @@
 // carrying the lock around). A deferred unlock does not release — the
 // lock is held for the rest of the function, which is exactly the
 // pattern the check exists to catch. Worker-internal files (flash.go's
-// mbWorker/sysWorker own their engines and their mutexes together) are
-// out of scope; the rank-based ordering between named locks is
-// lockorder's job.
+// subspace core owns its engine and its mutex together) are out of
+// scope; the rank-based ordering between named locks is lockorder's
+// job.
 package lockbdd
 
 import (

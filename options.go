@@ -125,13 +125,12 @@ func WithBatch(n int) Option {
 	return optionFunc(func(c *Config) { c.Batch = n })
 }
 
-// WithMemoryBudget bounds each subspace worker's live BDD node count
-// (see Config.MemoryBudget): an engine grown past the budget runs an
-// in-engine mark-and-sweep GC after the block that crossed it, and a
-// ModelBuilder worker falls back to a full Compact rotation when
-// collection alone cannot fit the budget. Reclamation never changes
-// models or verdicts — only when nodes are released. n <= 0 (the
-// default) disables automatic reclamation.
+// WithMemoryBudget bounds each subspace worker's live predicate node
+// count (see Config.MemoryBudget): an engine grown past the budget runs
+// an in-engine mark-and-sweep GC after the block that crossed it. GC is
+// the only reclamation; engines are never rebuilt. Reclamation never
+// changes models or verdicts — only when nodes are released. n <= 0
+// (the default) disables automatic reclamation.
 func WithMemoryBudget(n int) Option {
 	return optionFunc(func(c *Config) { c.MemoryBudget = n })
 }

@@ -76,21 +76,11 @@ func NewPipeline(sys *System, buffer int) *Pipeline {
 	return p
 }
 
-// Feed enqueues one agent message; it never blocks on verification. It
-// returns ErrClosed (wrapped) after Close, or the first verification
-// error once the pipeline has failed.
-//
-// Deprecated: use FeedContext so the caller controls cancellation.
-//
-//flashvet:allow ctxfeed — compatibility wrapper; this is where context-free callers get their root context
-func (p *Pipeline) Feed(m Msg) error {
-	return p.FeedContext(context.Background(), m)
-}
-
-// FeedContext is Feed with cancellation: a canceled context rejects the
-// message before it is enqueued. (Feed itself never blocks, so the
-// context is consulted only on entry; it does not cancel verification
-// work already queued.)
+// FeedContext enqueues one agent message; it never blocks on
+// verification. It returns ErrClosed (wrapped) after Close, or the first
+// verification error once the pipeline has failed. A canceled context
+// rejects the message before it is enqueued; the context is consulted
+// only on entry and does not cancel verification work already queued.
 func (p *Pipeline) FeedContext(ctx context.Context, m Msg) error {
 	if err := ctx.Err(); err != nil {
 		return err

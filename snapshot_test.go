@@ -307,3 +307,51 @@ func TestWhatIfDifferential(t *testing.T) {
 		}
 	}
 }
+
+// TestWhatIfErrorPathReleasesCapture: a what-if whose hypothetical
+// block fails to apply must not pin the forked model — after the error
+// return and Release, a forced GC reclaims the fork's nodes. Regression
+// for the snapleak audit: WhatIf releases its capture on every error
+// return, and whatIf's transient fork dies with the worker mutex.
+func TestWhatIfErrorPathReleasesCapture(t *testing.T) {
+	sys := reachSys(t)
+	feedLine(t, sys, "e1", Forward(2))
+
+	// The block first inserts a rule with a novel prefix — compiling it
+	// mints fresh BDD nodes on the fork — then deletes a rule the
+	// captured model never held, failing ApplyBlock after the fork has
+	// allocated.
+	novel := Update{Op: fib.Insert, Rule: Rule{ID: 998, Pri: 9, Action: Drop,
+		Desc: MatchDesc{{Field: "dst", Kind: fib.MatchPrefix, Value: 0xA5, Len: 8}}}}
+	miss := wildcard(999, Drop)
+	miss.Op = fib.Delete
+	blocks := []DeviceBlock{{Device: 1, Updates: []Update{novel, miss}}}
+	if _, err := sys.WhatIf(context.Background(), blocks); err == nil {
+		t.Fatal("WhatIf deleting a missing rule: expected error")
+	}
+	if n := sys.snapCount.Load(); n != 0 {
+		t.Fatalf("snapshots still registered after failed WhatIf: %d", n)
+	}
+
+	// The failed fork plus verifier state is garbage now; a forced
+	// collection must find it.
+	before := sys.StatsSnapshot().GC
+	if reclaimed := sys.GC(); reclaimed <= 0 {
+		t.Fatalf("GC after failed WhatIf reclaimed %d nodes, want > 0", reclaimed)
+	}
+	after := sys.StatsSnapshot().GC
+	if after.Runs <= before.Runs || after.ReclaimedNodes <= before.ReclaimedNodes {
+		t.Fatalf("GCStats did not advance: %+v then %+v", before, after)
+	}
+
+	// The failure left live verification untouched.
+	rs, err := sys.WhatIf(context.Background(), []DeviceBlock{{Device: 1,
+		Updates: []Update{{Op: fib.Insert, Rule: Rule{ID: 100, Pri: 10, Action: Drop,
+			Desc: MatchDesc{{Field: "dst", Kind: fib.MatchPrefix, Len: 0}}}}}}})
+	if err != nil {
+		t.Fatalf("WhatIf after failed WhatIf: %v", err)
+	}
+	if len(rs) == 0 {
+		t.Fatal("WhatIf after failed WhatIf returned no results")
+	}
+}

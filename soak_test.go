@@ -5,11 +5,12 @@ package flash
 // contract: live node counts stay bounded (a sawtooth, never the
 // monotone growth of an unbounded engine), reclamation never changes
 // the model (probe fingerprints byte-identical to a GC-disabled run),
-// counters stay monotone across Compact rotations, and GC keeps working
+// counters stay monotone across the hybrid cutover, and GC keeps working
 // while a sibling subspace is quarantined.
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"sync/atomic"
 	"testing"
@@ -156,55 +157,114 @@ func TestSoakMemoryBudgetBounded(t *testing.T) {
 	}
 }
 
-// TestSoakCompactCountersMonotone: PredicateOps, CacheStats and GCStats
-// must never move backwards across a Compact rotation (the per-worker
-// base absorbs the discarded engine's history).
-func TestSoakCompactCountersMonotone(t *testing.T) {
+// TestSoakCutoverCountersMonotone: PredicateOps, CacheStats and GCStats
+// must never move backwards across the hybrid atom→BDD cutover, for a
+// ModelBuilder and a System alike (the subspace core folds the
+// discarded atom engine's history into its base).
+func TestSoakCutoverCountersMonotone(t *testing.T) {
 	w, seq := soakWorkload()
-	b := NewModelBuilder(
+	opts := []Option{
 		WithTopo(w.Topo),
 		WithLayout(w.Layout),
 		WithSubspaces(diffSubspaces, ""),
-	)
-	for _, batch := range workload.Chunk(seq, 64) {
-		if err := b.ApplyBlock(soakBlocks(batch)); err != nil {
+		WithPredicateMode(PredicateHybrid),
+	}
+	// A ternary match atoms cannot hold: it cuts every subspace over.
+	acl := func(id int64) Update {
+		return Update{Op: fib.Insert, Rule: Rule{ID: id, Pri: 99, Action: Drop,
+			Desc: MatchDesc{{Field: "dst", Kind: fib.MatchTernary, Value: 1, Mask: 3}}}}
+	}
+	// cutover runs the fixture's pre-cutover activity, forces the
+	// cutover, and returns the snapshots either side of it.
+	cutover := func(t *testing.T, stats func() StatsSnapshot, cutovers func() int, gc func(), force func()) (StatsSnapshot, StatsSnapshot) {
+		t.Helper()
+		gc() // seed GC history so its counters cross the cutover too
+		st1 := stats()
+		if st1.PredicateOps == 0 || st1.Cache.Misses == 0 {
+			t.Fatalf("fixture produced no engine activity (ops=%d misses=%d)", st1.PredicateOps, st1.Cache.Misses)
+		}
+		if st1.GC.Runs == 0 {
+			t.Fatal("explicit GC did not count a run")
+		}
+		if n := cutovers(); n != 0 {
+			t.Fatalf("prefix-only fixture already cut over (%d cutovers)", n)
+		}
+		force()
+		if n := cutovers(); n != diffSubspaces {
+			t.Fatalf("ternary rule triggered %d cutovers, want %d", n, diffSubspaces)
+		}
+		st2 := stats()
+		ops1, cs1, gc1 := st1.PredicateOps, st1.Cache, st1.GC
+		ops2, cs2, gc2 := st2.PredicateOps, st2.Cache, st2.GC
+		if ops2 < ops1 {
+			t.Errorf("PredicateOps dropped across the cutover: %d -> %d", ops1, ops2)
+		}
+		if cs2.Hits < cs1.Hits || cs2.Misses < cs1.Misses || cs2.Evictions < cs1.Evictions {
+			t.Errorf("CacheStats dropped across the cutover: %+v -> %+v", cs1, cs2)
+		}
+		if gc2.Runs < gc1.Runs || gc2.ReclaimedNodes < gc1.ReclaimedNodes {
+			t.Errorf("GCStats dropped across the cutover: %+v -> %+v", gc1, gc2)
+		}
+		return st1, st2
+	}
+
+	t.Run("ModelBuilder", func(t *testing.T) {
+		b := NewModelBuilder(opts...)
+		for _, batch := range workload.Chunk(seq, 64) {
+			if err := b.ApplyBlock(soakBlocks(batch)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, st2 := cutover(t, b.StatsSnapshot, b.PredicateCutovers,
+			func() {
+				if _, err := b.GC(); err != nil {
+					t.Fatal(err)
+				}
+			},
+			func() {
+				if err := b.ApplyBlock([]DeviceBlock{{Device: 0, Updates: []Update{acl(1 << 50)}}}); err != nil {
+					t.Fatal(err)
+				}
+			})
+		// Counters keep climbing on the converted engines.
+		if _, err := b.ActionAt(0, []uint64{0x1234}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if _, err := b.GC(); err != nil { // seed GC history so its counters cross the rotation too
-		t.Fatal(err)
-	}
+		if ops3 := b.StatsSnapshot().PredicateOps; ops3 < st2.PredicateOps {
+			t.Errorf("PredicateOps dropped after post-cutover work: %d -> %d", st2.PredicateOps, ops3)
+		}
+	})
 
-	st1 := b.StatsSnapshot()
-	ops1, cs1, gc1 := st1.PredicateOps, st1.Cache, st1.GC
-	if ops1 == 0 || cs1.Misses == 0 {
-		t.Fatalf("fixture produced no engine activity (ops=%d misses=%d)", ops1, cs1.Misses)
-	}
-	if gc1.Runs == 0 {
-		t.Fatal("explicit GC did not count a run")
-	}
-	if err := b.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	st2 := b.StatsSnapshot()
-	ops2, cs2, gc2 := st2.PredicateOps, st2.Cache, st2.GC
-	if ops2 < ops1 {
-		t.Errorf("PredicateOps dropped across Compact: %d -> %d", ops1, ops2)
-	}
-	if cs2.Hits < cs1.Hits || cs2.Misses < cs1.Misses || cs2.Evictions < cs1.Evictions {
-		t.Errorf("CacheStats dropped across Compact: %+v -> %+v", cs1, cs2)
-	}
-	if gc2.Runs < gc1.Runs || gc2.ReclaimedNodes < gc1.ReclaimedNodes {
-		t.Errorf("GCStats dropped across Compact: %+v -> %+v", gc1, gc2)
-	}
-
-	// Counters keep climbing on the rotated engines.
-	if _, err := b.ActionAt(0, []uint64{0x1234}); err != nil {
-		t.Fatal(err)
-	}
-	if ops3 := b.StatsSnapshot().PredicateOps; ops3 < ops2 {
-		t.Errorf("PredicateOps dropped after post-Compact work: %d -> %d", ops2, ops3)
-	}
+	t.Run("System", func(t *testing.T) {
+		sys, err := NewSystem(append(opts, WithChecks(CheckSpec{Name: "loops", Kind: CheckLoopFree}))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		// A prefix of the stream is ample engine activity, and keeps the
+		// flashcheck build fast: every later epoch replays more CE2D
+		// history per verifier, each step re-proving its invariants.
+		epochs := diffStream(t, seq[:240], 24)
+		for _, msgs := range epochs {
+			if _, err := sys.FeedBatch(ctx, msgs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		epoch := fmt.Sprintf("e%d", len(epochs)+1)
+		feed := func(dev DeviceID, id int64) {
+			if _, err := sys.FeedContext(ctx, Msg{Device: dev, Epoch: epoch, Updates: []Update{acl(id)}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, st2 := cutover(t, sys.StatsSnapshot, sys.PredicateCutovers,
+			func() { sys.GC() },
+			func() { feed(0, 1<<50) })
+		// Counters keep climbing on the converted engines.
+		feed(1, 1<<50+1)
+		if ops3 := sys.StatsSnapshot().PredicateOps; ops3 < st2.PredicateOps {
+			t.Errorf("PredicateOps dropped after post-cutover work: %d -> %d", st2.PredicateOps, ops3)
+		}
+	})
 }
 
 // TestChaosGCUnderPoisoning: automatic GC keeps running on healthy

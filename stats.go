@@ -5,12 +5,12 @@ import (
 
 	"repro/internal/ce2d"
 	"repro/internal/imt"
+	"repro/internal/sched"
 )
 
 // This file is the consolidated statistics surface: StatsSnapshot is the
 // one structure operators read (the /v1/stats endpoint serves it as
-// JSON), and the historical per-facet getters survive as thin deprecated
-// wrappers over it.
+// JSON).
 
 // SchedulerStats reports work-stealing scheduler activity (tasks run,
 // home tokens stolen, Wait barriers) plus the effective worker count.
@@ -73,16 +73,15 @@ func (t *TransformStats) add(s imt.Stats) {
 
 // StatsSnapshot is a coherent point-in-time view of a ModelBuilder's or
 // System's internals: one call, one pass over the workers, every facet
-// the old getter sprawl (SchedulerStats, CacheStats, GCStats, Stats,
-// PredicateOps, MemoryProxy, ECs) exposed piecemeal — plus the serving
-// plane's own gauges (live snapshots, verdict subscribers).
+// — plus the serving plane's own gauges (live snapshots, verdict
+// subscribers).
 type StatsSnapshot struct {
 	// Subspaces is the number of parallel subspace workers.
 	Subspaces int `json:"subspaces"`
 	// Scheduler counts work-stealing scheduler activity.
 	Scheduler SchedulerStats `json:"scheduler"`
 	// Cache sums the ITE computed-cache counters across engines,
-	// including engines rotated away by Compact.
+	// including atom engines replaced by the hybrid cutover.
 	Cache CacheStats `json:"cache"`
 	// GC sums in-engine mark-and-sweep activity.
 	GC GCStats `json:"gc"`
@@ -113,27 +112,14 @@ type StatsSnapshot struct {
 // reflects the same applied-block history.
 func (b *ModelBuilder) StatsSnapshot() StatsSnapshot {
 	b.Flush() //nolint:errcheck // flush errors resurface on the next ApplyBlock/Flush
-	var out StatsSnapshot
-	out.Subspaces = len(b.workers)
-	st := b.pool.Stats()
-	out.Scheduler = SchedulerStats{Tasks: st.Tasks, Steals: st.Steals, Dispatches: st.Dispatches, Workers: b.pool.Workers()}
+	out := StatsSnapshot{Subspaces: len(b.workers), Scheduler: schedulerStats(b.pool)}
 	for _, w := range b.workers {
 		w.mu.Lock()
-		e := w.eng // Compact and hybrid cutover rotate the engine under w.mu
-		base := w.base
 		out.Transform.add(w.transform.Stats())
 		out.ECs += w.transform.Model().Len()
-		out.MemoryNodes += e.NumNodes() + w.transform.Store.NumNodes()
+		out.MemoryNodes += w.transform.Store.NumNodes()
+		w.addEngineStatsLocked(&out)
 		w.mu.Unlock()
-		// The engine counters are atomics; reading them outside w.mu keeps
-		// running workers unblocked.
-		h, m := e.CacheStats()
-		out.Cache.Hits += base.cacheHits + h
-		out.Cache.Misses += base.cacheMisses + m
-		out.Cache.Evictions += base.cacheEvictions + e.CacheEvictions()
-		out.GC.Runs += base.gcRuns + e.GCRuns()
-		out.GC.ReclaimedNodes += base.gcReclaimed + e.ReclaimedNodes()
-		out.PredicateOps += base.ops + e.Ops()
 	}
 	return out
 }
@@ -142,28 +128,17 @@ func (b *ModelBuilder) StatsSnapshot() StatsSnapshot {
 // single pass. Model-derived facets (Transform, ECs, PAT nodes) sum over
 // every live per-epoch verifier in every subspace.
 func (s *System) StatsSnapshot() StatsSnapshot {
-	var out StatsSnapshot
-	out.Subspaces = len(s.workers)
-	st := s.pool.Stats()
-	out.Scheduler = SchedulerStats{Tasks: st.Tasks, Steals: st.Steals, Dispatches: st.Dispatches, Workers: s.pool.Workers()}
+	out := StatsSnapshot{Subspaces: len(s.workers), Scheduler: schedulerStats(s.pool)}
 	for _, w := range s.workers {
 		w.mu.Lock()
-		e := w.eng
 		w.disp.EachVerifier(func(_ ce2d.Epoch, v *ce2d.Verifier) {
 			tr := v.Transformer()
 			out.Transform.add(tr.Stats())
 			out.ECs += tr.Model().Len()
 			out.MemoryNodes += tr.Store.NumNodes()
 		})
-		out.MemoryNodes += e.NumNodes()
+		w.addEngineStatsLocked(&out)
 		w.mu.Unlock()
-		h, m := e.CacheStats()
-		out.Cache.Hits += h
-		out.Cache.Misses += m
-		out.Cache.Evictions += e.CacheEvictions()
-		out.GC.Runs += e.GCRuns()
-		out.GC.ReclaimedNodes += e.ReclaimedNodes()
-		out.PredicateOps += e.Ops()
 	}
 	out.Poisoned = s.PoisonedSubspaces()
 	out.Snapshots = int(s.snapCount.Load())
@@ -171,67 +146,21 @@ func (s *System) StatsSnapshot() StatsSnapshot {
 	return out
 }
 
-// ---- Deprecated per-facet getters (thin wrappers over StatsSnapshot) ----
-
-// SchedulerStats returns the builder's scheduler counters.
-//
-// Deprecated: use StatsSnapshot().Scheduler.
-func (b *ModelBuilder) SchedulerStats() SchedulerStats { return b.StatsSnapshot().Scheduler }
-
-// CacheStats sums the ITE computed-cache counters across subspace
-// engines.
-//
-// Deprecated: use StatsSnapshot().Cache.
-func (b *ModelBuilder) CacheStats() CacheStats { return b.StatsSnapshot().Cache }
-
-// GCStats sums GC activity across the builder's workers, including
-// engines since rotated away by Compact.
-//
-// Deprecated: use StatsSnapshot().GC.
-func (b *ModelBuilder) GCStats() GCStats { return b.StatsSnapshot().GC }
-
-// ECs reports the total number of equivalence classes across subspaces.
-//
-// Deprecated: use StatsSnapshot().ECs.
-func (b *ModelBuilder) ECs() int { return b.StatsSnapshot().ECs }
-
-// Stats merges the Fast IMT cost breakdown across subspace workers,
-// flushing pending batches first.
-//
-// Deprecated: use StatsSnapshot().Transform.
-func (b *ModelBuilder) Stats() imt.Stats {
-	t := b.StatsSnapshot().Transform
-	return imt.Stats{
-		MapTime: t.MapTime, ReduceTime: t.ReduceTime, ApplyTime: t.ApplyTime,
-		Blocks: t.Blocks, Updates: t.Updates, Atomic: t.Atomic, Aggregated: t.Aggregated,
-	}
+func schedulerStats(p *sched.Pool) SchedulerStats {
+	st := p.Stats()
+	return SchedulerStats{Tasks: st.Tasks, Steals: st.Steals, Dispatches: st.Dispatches, Workers: p.Workers()}
 }
 
-// PredicateOps sums the BDD predicate-operation counters across workers
-// (the "# Predicate Operations" of Table 3).
-//
-// Deprecated: use StatsSnapshot().PredicateOps.
-func (b *ModelBuilder) PredicateOps() uint64 { return b.StatsSnapshot().PredicateOps }
-
-// MemoryProxy reports live BDD nodes plus PAT nodes across workers, the
-// structural memory footprint of the model.
-//
-// Deprecated: use StatsSnapshot().MemoryNodes.
-func (b *ModelBuilder) MemoryProxy() int { return b.StatsSnapshot().MemoryNodes }
-
-// SchedulerStats returns the system's work-stealing scheduler counters.
-//
-// Deprecated: use StatsSnapshot().Scheduler.
-func (s *System) SchedulerStats() SchedulerStats { return s.StatsSnapshot().Scheduler }
-
-// CacheStats sums the ITE computed-cache counters across the subspace
-// engines (shared by all of a subspace's per-epoch verifiers).
-//
-// Deprecated: use StatsSnapshot().Cache.
-func (s *System) CacheStats() CacheStats { return s.StatsSnapshot().Cache }
-
-// GCStats sums in-engine garbage-collection activity across the
-// subspace engines.
-//
-// Deprecated: use StatsSnapshot().GC.
-func (s *System) GCStats() GCStats { return s.StatsSnapshot().GC }
+// addEngineStatsLocked folds the subspace's engine totals (including the
+// atom engine a cutover replaced) and live node count into out. Callers
+// hold c.mu.
+func (c *subspace) addEngineStatsLocked(out *StatsSnapshot) {
+	t := c.countersLocked()
+	out.Cache.Hits += t.cacheHits
+	out.Cache.Misses += t.cacheMisses
+	out.Cache.Evictions += t.cacheEvictions
+	out.GC.Runs += t.gcRuns
+	out.GC.ReclaimedNodes += t.gcReclaimed
+	out.PredicateOps += t.ops
+	out.MemoryNodes += c.eng.NumNodes()
+}
