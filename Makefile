@@ -52,14 +52,16 @@ race-hot:
 	$(GO) test -race . ./internal/ce2d ./internal/wire ./internal/obs
 
 # The hybrid predicate engine's trust anchors under the race detector:
-# parallel ITE canonicity on the sharded unique table, the
-# SetCacheLimit-vs-ITE race, the atom engine's algebra and concurrent
-# ops, and the differential oracle across predicate modes — including
-# the mid-stream atom→BDD cutover.
+# the BDD computed-cache cap, the atom engine's algebra, the
+# what-if differential (metric and stats samplers read the single-owner
+# engines while ingest and what-ifs mutate them, so any reader that
+# bypasses the subspace mutex is a race report), and the differential
+# oracle across predicate modes — including the mid-stream atom→BDD
+# cutover.
 pred-race:
-	$(GO) test -race -count=1 -run 'TestParallelITECanonicity|TestSetCacheLimitRacesWithITE|TestCacheLimitEvicts|TestCounterReadsRaceWithMutation' ./internal/bdd
+	$(GO) test -race -count=1 -run 'TestCacheLimitEvicts' ./internal/bdd
 	$(GO) test -race -count=1 ./internal/atoms
-	$(GO) test -race -count=1 -run 'TestDifferential' .
+	$(GO) test -race -count=1 -run 'TestDifferential|TestWhatIfDifferential' .
 
 # One benchmark per table/figure; BenchmarkIMT* guards the Fast IMT
 # hot path against regressions (metrics disabled).

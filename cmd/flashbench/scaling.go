@@ -4,7 +4,7 @@ package main
 // deliberately skewed churn workload: most churn lands in one hot
 // subspace, so a static subspace→worker assignment serializes on that
 // worker while stealing lets idle workers drain it. A second section
-// compares the predicate representations (sharded BDD vs Delta-net
+// compares the predicate representations (BDD vs Delta-net
 // interval atoms) on the same prefix-only churn. Results are printed
 // as a table and, with -record, appended to a JSON benchmark
 // trajectory file (BENCH_flash.json) so successive commits can be

@@ -1,9 +1,9 @@
 // Package cachelimit replays the half-migrated form of the BDD cache
 // limit race: SetCacheLimit once stored the limit with a plain write
 // while the hot ite path was moved to an atomic load, so the setter
-// could race every concurrent operation. The engine now uses a typed
-// atomic.Int64, which makes the mix impossible; this fixture pins the
-// analyzer's ability to catch any regression to the mixed form.
+// could race every concurrent operation. The fixture keeps that mixed
+// form as a realistic shape for the analyzer to catch; it tests the
+// analyzer, not the engine.
 package cachelimit
 
 import "sync/atomic"

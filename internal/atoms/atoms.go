@@ -28,8 +28,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/bdd"
 	"repro/internal/deltanet"
@@ -48,14 +46,13 @@ const MaxVars = 63
 // the full line, so zero-valued predicates mean "empty header space"
 // under both representations.
 //
-// All methods are safe for concurrent use (one mutex guards the intern
-// table; interned interval slices are immutable), except GC, which
-// requires exclusive access like its BDD counterpart.
+// Like the BDD engine, an Engine is single-owner: it takes no locks, and
+// the caller serializes every call (Flash holds the owning subspace's
+// mutex).
 type Engine struct {
 	nvars int
 	full  deltanet.Interval // [0, 2^W)
 
-	mu     sync.Mutex
 	sets   [][]deltanet.Interval // Ref → canonical interval set
 	intern map[string]bdd.Ref
 	nivs   int // total intervals across interned sets (memory proxy)
@@ -73,12 +70,12 @@ type Engine struct {
 	compileCache  map[fib.FieldMatch]bdd.Ref
 	compileLayout *hs.Layout
 
-	ops         atomic.Uint64
-	cacheHits   atomic.Uint64
-	cacheMisses atomic.Uint64
-	cacheEvict  atomic.Uint64
-	gcRuns      atomic.Uint64
-	gcReclaimed atomic.Uint64
+	ops         uint64
+	cacheHits   uint64
+	cacheMisses uint64
+	cacheEvict  uint64
+	gcRuns      uint64
+	gcReclaimed uint64
 }
 
 // opKey identifies one memoized operation application.
@@ -96,8 +93,7 @@ const (
 )
 
 // opCacheLimit bounds the memoized-operation table; reaching it clears
-// the table wholesale (the BDD engine's eviction policy, without the
-// sharding — one subspace worker owns each atom engine).
+// the table wholesale (the BDD engine's eviction policy).
 const opCacheLimit = 1 << 20
 
 // New returns an atom engine over an nvars-bit header line. nvars must
@@ -130,16 +126,8 @@ func encode(ivs []deltanet.Interval) string {
 	return string(buf)
 }
 
-// get returns the interned set for r. Interned slices are immutable, so
-// the result may be used after the lock is released.
+// get returns the interned set for r. Interned slices are immutable.
 func (e *Engine) get(r bdd.Ref) []deltanet.Interval {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.getLocked(r)
-}
-
-// getLocked is get for callers already holding e.mu.
-func (e *Engine) getLocked(r bdd.Ref) []deltanet.Interval {
 	if r < 0 || int(r) >= len(e.sets) {
 		panic(fmt.Sprintf("atoms: ref %d outside the interned range [0,%d)", r, len(e.sets)))
 	}
@@ -148,13 +136,6 @@ func (e *Engine) getLocked(r bdd.Ref) []deltanet.Interval {
 
 // interned hash-conses a canonical set and returns its Ref.
 func (e *Engine) interned(ivs []deltanet.Interval) bdd.Ref {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.internLocked(ivs)
-}
-
-// internLocked is interned for callers already holding e.mu.
-func (e *Engine) internLocked(ivs []deltanet.Interval) bdd.Ref {
 	key := encode(ivs)
 	if r, ok := e.intern[key]; ok {
 		return r
@@ -166,23 +147,20 @@ func (e *Engine) internLocked(ivs []deltanet.Interval) bdd.Ref {
 	return r
 }
 
-// cachedOp runs one memoized ref-valued operation under the engine
-// lock: a hit skips the interval merge and the intern-key encoding
+// cachedOp runs one memoized ref-valued operation: a hit skips the interval merge and the intern-key encoding
 // entirely, which is where the atom engine's time goes on churn
 // workloads (the same EC × rule operand pairs recur constantly).
 func (e *Engine) cachedOp(op uint8, a, b bdd.Ref, compute func() []deltanet.Interval) bdd.Ref {
-	e.ops.Add(1)
+	e.ops++
 	k := opKey{op: op, a: a, b: b}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if r, ok := e.opCache[k]; ok {
-		e.cacheHits.Add(1)
+		e.cacheHits++
 		return r
 	}
-	e.cacheMisses.Add(1)
-	r := e.internLocked(compute())
+	e.cacheMisses++
+	r := e.interned(compute())
 	if len(e.opCache) >= opCacheLimit {
-		e.cacheEvict.Add(uint64(len(e.opCache)))
+		e.cacheEvict += uint64(len(e.opCache))
 		clear(e.opCache)
 	}
 	e.opCache[k] = r
@@ -221,32 +199,28 @@ func (e *Engine) NumVars() int { return e.nvars }
 // NumNodes reports the memory-footprint proxy: total intervals held by
 // interned sets, plus the two terminals — the atom analogue of the BDD
 // engine's node count.
-func (e *Engine) NumNodes() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.nivs + 2
-}
+func (e *Engine) NumNodes() int { return e.nivs + 2 }
 
-// Ops reports cumulative §3.3 predicate operations. Safe concurrently.
-func (e *Engine) Ops() uint64 { return e.ops.Load() }
+// Ops reports cumulative §3.3 predicate operations.
+func (e *Engine) Ops() uint64 { return e.ops }
 
 // ResetOps zeroes the predicate-operation counter.
-func (e *Engine) ResetOps() { e.ops.Store(0) }
+func (e *Engine) ResetOps() { e.ops = 0 }
 
 // CacheStats reports the memoized-operation cache counters (the atom
 // analogue of the BDD engine's ITE computed cache).
 func (e *Engine) CacheStats() (hits, misses uint64) {
-	return e.cacheHits.Load(), e.cacheMisses.Load()
+	return e.cacheHits, e.cacheMisses
 }
 
 // CacheEvictions reports entries dropped by wholesale cache clears.
-func (e *Engine) CacheEvictions() uint64 { return e.cacheEvict.Load() }
+func (e *Engine) CacheEvictions() uint64 { return e.cacheEvict }
 
-// GCRuns reports completed GC passes. Safe concurrently.
-func (e *Engine) GCRuns() uint64 { return e.gcRuns.Load() }
+// GCRuns reports completed GC passes.
+func (e *Engine) GCRuns() uint64 { return e.gcRuns }
 
 // ReclaimedNodes reports intervals swept across all GC passes.
-func (e *Engine) ReclaimedNodes() uint64 { return e.gcReclaimed.Load() }
+func (e *Engine) ReclaimedNodes() uint64 { return e.gcReclaimed }
 
 // And returns a ∧ b (interval intersection); one counted operation.
 // Commutative, so operands are ordered to double the cache hit rate.
@@ -255,7 +229,7 @@ func (e *Engine) And(a, b bdd.Ref) bdd.Ref {
 		a, b = b, a
 	}
 	return e.cachedOp(opAnd, a, b, func() []deltanet.Interval {
-		return intersect(e.getLocked(a), e.getLocked(b))
+		return intersect(e.get(a), e.get(b))
 	})
 }
 
@@ -266,7 +240,7 @@ func (e *Engine) Or(a, b bdd.Ref) bdd.Ref {
 		a, b = b, a
 	}
 	return e.cachedOp(opOr, a, b, func() []deltanet.Interval {
-		as, bs := e.getLocked(a), e.getLocked(b)
+		as, bs := e.get(a), e.get(b)
 		scratch := make([]deltanet.Interval, 0, len(as)+len(bs))
 		scratch = append(scratch, as...)
 		scratch = append(scratch, bs...)
@@ -277,27 +251,27 @@ func (e *Engine) Or(a, b bdd.Ref) bdd.Ref {
 // Not returns ¬a (complement within [0, 2^W)); one counted operation.
 func (e *Engine) Not(a bdd.Ref) bdd.Ref {
 	return e.cachedOp(opNot, a, a, func() []deltanet.Interval {
-		return complement(e.getLocked(a), e.full)
+		return complement(e.get(a), e.full)
 	})
 }
 
 // Diff returns a ∧ ¬b; two counted operations, matching the BDD engine.
 func (e *Engine) Diff(a, b bdd.Ref) bdd.Ref {
-	e.ops.Add(1) // cachedOp counts the second
+	e.ops++ // cachedOp counts the second
 	return e.cachedOp(opDiff, a, b, func() []deltanet.Interval {
-		return intersect(e.getLocked(a), complement(e.getLocked(b), e.full))
+		return intersect(e.get(a), complement(e.get(b), e.full))
 	})
 }
 
 // Implies reports a ⊆ b; one counted operation.
 func (e *Engine) Implies(a, b bdd.Ref) bool {
-	e.ops.Add(1)
+	e.ops++
 	return len(intersect(e.get(a), complement(e.get(b), e.full))) == 0
 }
 
 // Overlaps reports a ∩ b ≠ ∅; one counted operation.
 func (e *Engine) Overlaps(a, b bdd.Ref) bool {
-	e.ops.Add(1)
+	e.ops++
 	as, bs := e.get(a), e.get(b)
 	i, j := 0, 0
 	for i < len(as) && j < len(bs) {
@@ -420,11 +394,7 @@ func (e *Engine) FromIntervals(ivs []deltanet.Interval) bdd.Ref {
 // terminals included. Refs are dense in [0, NumRefs), which is what
 // lets the hybrid cutover size a bdd.Remap over the whole atom-era Ref
 // range.
-func (e *Engine) NumRefs() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.sets)
-}
+func (e *Engine) NumRefs() int { return len(e.sets) }
 
 // Compile converts a match descriptor into an atom predicate via
 // deltanet.IntervalsFor. A descriptor that is valid but explodes past
@@ -436,15 +406,10 @@ func (e *Engine) Compile(layout *hs.Layout, d fib.MatchDesc) (bdd.Ref, error) {
 	// atoms — are memoized per layout: churn reinstalls the same
 	// prefixes constantly and IntervalsFor walks the whole layout each
 	// time. The cache is sound only while refs are stable; GC clears it.
-	if len(d) == 1 {
-		e.mu.Lock()
-		if e.compileLayout == layout {
-			if r, ok := e.compileCache[d[0]]; ok {
-				e.mu.Unlock()
-				return r, nil
-			}
+	if len(d) == 1 && e.compileLayout == layout {
+		if r, ok := e.compileCache[d[0]]; ok {
+			return r, nil
 		}
-		e.mu.Unlock()
 	}
 	ivs, err := deltanet.IntervalsFor(layout, d)
 	if err != nil {
@@ -452,7 +417,6 @@ func (e *Engine) Compile(layout *hs.Layout, d fib.MatchDesc) (bdd.Ref, error) {
 	}
 	r := e.FromIntervals(ivs)
 	if len(d) == 1 {
-		e.mu.Lock()
 		if e.compileLayout == nil {
 			e.compileLayout = layout
 			e.compileCache = make(map[fib.FieldMatch]bdd.Ref, 64)
@@ -460,7 +424,6 @@ func (e *Engine) Compile(layout *hs.Layout, d fib.MatchDesc) (bdd.Ref, error) {
 		if e.compileLayout == layout {
 			e.compileCache[d[0]] = r
 		}
-		e.mu.Unlock()
 	}
 	return r, nil
 }
@@ -470,8 +433,6 @@ func (e *Engine) Compile(layout *hs.Layout, d fib.MatchDesc) (bdd.Ref, error) {
 // intern table bijective with the set table. A violation means Ref
 // equality no longer implies predicate equality.
 func (e *Engine) CheckInvariants() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if len(e.sets) < 2 {
 		return fmt.Errorf("atoms: terminal sets missing (%d interned)", len(e.sets))
 	}
@@ -512,10 +473,8 @@ func (e *Engine) CheckInvariants() error {
 // no children, so reachability is the root set plus the terminals. The
 // surviving sets are compacted preserving relative order and the intern
 // table is rebuilt; the returned remap follows the bdd.Remap contract
-// (dead entries panic on Apply). Exclusive-access only.
+// (dead entries panic on Apply).
 func (e *Engine) GC(roots func(yield func(bdd.Ref))) (bdd.Remap, bdd.GCStats) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	n := len(e.sets)
 	live := make([]bool, n)
 	live[bdd.False], live[bdd.True] = true, true
@@ -547,7 +506,7 @@ func (e *Engine) GC(roots func(yield func(bdd.Ref))) (bdd.Remap, bdd.GCStats) {
 	if e.compileCache != nil {
 		clear(e.compileCache)
 	}
-	e.gcRuns.Add(1)
-	e.gcReclaimed.Add(uint64(st.Reclaimed))
+	e.gcRuns++
+	e.gcReclaimed += uint64(st.Reclaimed)
 	return remap, st
 }

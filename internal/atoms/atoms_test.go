@@ -187,30 +187,3 @@ func TestGC(t *testing.T) {
 	}()
 	remap.Apply(drop)
 }
-
-// TestConcurrentOps runs the algebra from several goroutines under
-// -race: the intern table is mutex-guarded and interned slices
-// immutable, so parallel use must stay canonical.
-func TestConcurrentOps(t *testing.T) {
-	e := New(16)
-	done := make(chan bdd.Ref, 8)
-	for g := 0; g < 8; g++ {
-		go func() {
-			r := bdd.False
-			for i := 0; i < 200; i++ {
-				lo := uint64(i * 13 % 60000)
-				r = e.Or(r, e.FromIntervals([]deltanet.Interval{{Lo: lo, Hi: lo + 100}}))
-			}
-			done <- r
-		}()
-	}
-	first := <-done
-	for g := 1; g < 8; g++ {
-		if got := <-done; got != first {
-			t.Fatalf("identical concurrent builds diverged: %d vs %d", got, first)
-		}
-	}
-	if err := e.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}

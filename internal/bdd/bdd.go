@@ -3,8 +3,8 @@
 //
 // The paper's reference implementation uses the JDD library; Go has no
 // mature BDD library, so this package provides one from scratch. It is a
-// chunked-arena ROBDD with a sharded unique table (hash consing) and an
-// ITE-based apply with a sharded computed cache. Because nodes are
+// chunked-arena ROBDD with a unique table (hash consing) and an
+// ITE-based apply with a bounded computed cache. Because nodes are
 // hash-consed, two predicates are logically equivalent if and only if
 // their Refs are equal, which the inverse-model code relies on for O(1)
 // predicate comparison (Reduce II in the paper aggregates overwrites by
@@ -17,29 +17,15 @@
 //
 // # Concurrency
 //
-// Node-creating operations (And, Or, Not, Diff, Xor, Implies, Overlaps,
-// Cube, Var, Exists, ...) and read-only walks (Eval, AnySat, SatCount,
-// NumNodes, CheckRef) are safe for concurrent use by multiple
-// goroutines: the unique table and the ITE computed cache are sharded
-// behind per-shard mutexes, node storage is a copy-on-grow chunk
-// directory whose published chunks are immutable in location (reads are
-// lock-free), and SetCacheLimit/eviction operate per shard so a
-// concurrent resize can never tear the cache out from under a running
-// ITE. This is what lets the work-stealing scheduler run parallel ITE
-// against one subspace engine without convoying on a single lock.
-//
-// Structural operations — GC, ExportNodes, ClearCache applied at a
-// quiescent point, and restore — still require exclusive access: they
-// rewrite Refs or assume no mutation is in flight. Flash serializes them
-// behind the owning worker's mutex, exactly where the old
-// single-owner contract was enforced.
+// An Engine is single-owner, as JDD's node table is: it takes no locks,
+// and every call — node-creating operations, read-only walks, counter
+// reads and structural operations (GC, ExportNodes) alike — must be
+// serialized by the caller. Flash gets its parallelism from subspace
+// partitioning (§3.4), one engine per subspace, and serializes each
+// engine behind its owning subspace's mutex.
 package bdd
 
-import (
-	"fmt"
-	"sync"
-	"sync/atomic"
-)
+import "fmt"
 
 // Ref is a reference to a BDD node. The terminals are the constants False
 // and True; all other Refs index into the owning Engine's node store.
@@ -84,83 +70,40 @@ func nodeKey(level int32, lo, hi Ref) uniqueKey {
 	return uniqueKey{level: level, lo: lo, hi: hi}
 }
 
-// Sharding and arena geometry. 64 shards keeps lock contention off the
-// profile at any worker count this project runs (the scheduler caps
-// workers at GOMAXPROCS), and 8192-node chunks (96 KB) amortize the
-// directory indirection while keeping growth increments small.
+// Arena geometry: 8192-node chunks (96 KB) keep growth increments small
+// and never move a node once written.
 const (
-	shardBits = 6
-	nShards   = 1 << shardBits
-
 	chunkBits = 13
 	chunkSize = 1 << chunkBits
 	chunkMask = chunkSize - 1
 )
 
-// chunk is one fixed-size block of the node arena. Once a chunk is
-// published in the directory it is never moved or freed until a
-// structural operation (GC, restore) replaces the whole directory, so a
-// lock-free reader holding any Ref published to it can dereference
-// without synchronization beyond the publication that handed it the Ref.
+// chunk is one fixed-size block of the node arena.
 type chunk [chunkSize]node
 
-// uniqueShard is one bucket of the hash-sharded unique table. mk
-// serializes same-shard node creation through the shard mutex; creation
-// in distinct shards proceeds in parallel.
-type uniqueShard struct {
-	mu sync.Mutex
-	m  map[uniqueKey]Ref
-	_  [24]byte // pad to its own cache line neighborhood
-}
-
-// cacheShard is one bucket of the sharded ITE computed cache. Eviction
-// is per shard, so a cap resize never stalls (or races) every in-flight
-// ITE at once.
-type cacheShard struct {
-	mu sync.Mutex
-	m  map[cacheKey]Ref
-	_  [24]byte
-}
-
-func shardOfUnique(k uniqueKey) uint32 {
-	h := uint64(uint32(k.level))*0x9E3779B97F4A7C15 ^
-		uint64(uint32(k.lo))*0xBF58476D1CE4E5B9 ^
-		uint64(uint32(k.hi))*0x94D049BB133111EB
-	return uint32(h>>32) & (nShards - 1)
-}
-
-func shardOfCache(k cacheKey) uint32 {
-	h := uint64(uint32(k.f))*0x9E3779B97F4A7C15 ^
-		uint64(uint32(k.g))*0xBF58476D1CE4E5B9 ^
-		uint64(uint32(k.h))*0x94D049BB133111EB
-	return uint32(h>>32) & (nShards - 1)
-}
-
-// DefaultCacheLimit bounds the ITE computed cache of a new Engine, in
-// entries. One entry is ~28 bytes of map payload, so the default caps a
-// single engine's cache around 30 MB; engines are per subspace worker,
-// so total cache memory scales with the subspace count, not the
-// workload. SetCacheLimit overrides it per engine.
-const DefaultCacheLimit = 1 << 20
+// defaultCacheLimit bounds the ITE computed cache of a new Engine, in
+// entries. One entry is ~28 bytes of map payload, so the cap holds a
+// single engine's cache around 30 MB; engines are per subspace, so
+// total cache memory scales with the subspace count, not the workload.
+const defaultCacheLimit = 1 << 20
 
 // Engine owns a universe of BDD nodes over a fixed number of Boolean
 // variables. Variable i is tested before variable j whenever i < j.
 type Engine struct {
 	nvars      int
-	nnodes     atomic.Int64             // allocated node count (next free arena slot)
-	chunks     atomic.Pointer[[]*chunk] // copy-on-grow chunk directory
-	growMu     sync.Mutex               // serializes directory growth
-	unique     [nShards]uniqueShard     // hash-sharded unique table
-	cache      [nShards]cacheShard      // hash-sharded ITE computed cache
-	cacheLimit atomic.Int64             // max computed-cache entries; <= 0 means unbounded
+	nnodes     int               // allocated node count (next free arena slot)
+	chunks     []*chunk          // node arena
+	unique     map[uniqueKey]Ref // unique table
+	cache      map[cacheKey]Ref  // ITE computed cache
+	cacheLimit int               // max computed-cache entries; <= 0 means unbounded
 
-	ops atomic.Uint64 // user-level predicate operations (∧, ∨, ¬)
+	ops uint64 // user-level predicate operations (∧, ∨, ¬)
 
-	cacheHits      atomic.Uint64 // ITE computed-cache hits
-	cacheMisses    atomic.Uint64 // ITE computed-cache misses (recursive computations)
-	cacheEvictions atomic.Uint64 // computed-cache shard resets forced by the size cap
-	gcRuns         atomic.Uint64 // completed GC passes
-	gcReclaimed    atomic.Uint64 // nodes swept across all GC passes
+	cacheHits      uint64 // ITE computed-cache hits
+	cacheMisses    uint64 // ITE computed-cache misses (recursive computations)
+	cacheEvictions uint64 // computed-cache resets forced by the size cap
+	gcRuns         uint64 // completed GC passes
+	gcReclaimed    uint64 // nodes swept across all GC passes
 }
 
 // New returns an Engine over nvars Boolean variables. nvars must be
@@ -169,68 +112,35 @@ func New(nvars int) *Engine {
 	if nvars <= 0 || nvars > 1<<15-1 {
 		panic(fmt.Sprintf("bdd: invalid variable count %d", nvars))
 	}
-	e := &Engine{nvars: nvars}
-	e.cacheLimit.Store(DefaultCacheLimit)
-	dir := []*chunk{new(chunk)}
-	e.chunks.Store(&dir)
+	e := &Engine{
+		nvars:      nvars,
+		chunks:     []*chunk{new(chunk)},
+		unique:     make(map[uniqueKey]Ref, 1024),
+		cache:      make(map[cacheKey]Ref, 1024),
+		cacheLimit: defaultCacheLimit,
+	}
 	// Terminals occupy slots 0 and 1 with a sentinel level below all
 	// variables so cofactor logic never descends into them.
-	dir[0][False] = node{level: int32(nvars), lo: False, hi: False}
-	dir[0][True] = node{level: int32(nvars), lo: True, hi: True}
-	e.nnodes.Store(2)
-	for i := range e.unique {
-		e.unique[i].m = make(map[uniqueKey]Ref, 16)
-	}
-	for i := range e.cache {
-		e.cache[i].m = make(map[cacheKey]Ref, 16)
-	}
+	e.chunks[0][False] = node{level: int32(nvars), lo: False, hi: False}
+	e.chunks[0][True] = node{level: int32(nvars), lo: True, hi: True}
+	e.nnodes = 2
 	return e
 }
 
-// node returns the arena entry for r. Lock-free: any code path that can
-// legitimately hold r observed it through a synchronization point that
-// happens-after the node (and its whole subgraph) was written.
+// node returns the arena entry for r.
 func (e *Engine) node(r Ref) node {
-	dir := *e.chunks.Load()
-	return dir[r>>chunkBits][r&chunkMask]
+	return e.chunks[r>>chunkBits][r&chunkMask]
 }
 
-// setNode overwrites arena slot i. Structural-only (GC compaction,
-// restore); callers hold exclusive access.
-func (e *Engine) setNode(i Ref, nd node) {
-	dir := *e.chunks.Load()
-	dir[i>>chunkBits][i&chunkMask] = nd
-}
-
-// ensure grows the chunk directory to cover arena index idx. The
-// directory is copy-on-grow: readers loaded an older (shorter) directory
-// only ever dereference chunks that directory already contains, because
-// a Ref into a newer chunk can only reach them through a synchronization
-// point that happens-after the grow.
-func (e *Engine) ensure(idx int64) {
-	ci := int(idx >> chunkBits)
-	if ci < len(*e.chunks.Load()) {
-		return
-	}
-	e.growMu.Lock()
-	defer e.growMu.Unlock()
-	dir := *e.chunks.Load()
-	for ci >= len(dir) {
-		nd := make([]*chunk, len(dir)+1)
-		copy(nd, dir)
-		nd[len(dir)] = new(chunk)
-		e.chunks.Store(&nd)
-		dir = nd
-	}
-}
-
-// alloc claims the next arena slot and writes nd into it. The write is
-// published to other goroutines by the caller's shard-mutex release.
+// alloc claims the next arena slot, growing the arena by one chunk when
+// it is full, and writes nd into it.
 func (e *Engine) alloc(nd node) Ref {
-	idx := e.nnodes.Add(1) - 1
-	e.ensure(idx)
-	dir := *e.chunks.Load()
-	dir[idx>>chunkBits][idx&chunkMask] = nd
+	idx := e.nnodes
+	if idx>>chunkBits == len(e.chunks) {
+		e.chunks = append(e.chunks, new(chunk))
+	}
+	e.chunks[idx>>chunkBits][idx&chunkMask] = nd
+	e.nnodes++
 	return Ref(idx)
 }
 
@@ -238,103 +148,38 @@ func (e *Engine) alloc(nd node) Ref {
 func (e *Engine) NumVars() int { return e.nvars }
 
 // NumNodes reports the number of live decision nodes, including terminals.
-// It is the engine's memory-footprint proxy used by the benchmarks. Safe
-// for concurrent use.
-func (e *Engine) NumNodes() int { return int(e.nnodes.Load()) }
+// It is the engine's memory-footprint proxy used by the benchmarks.
+func (e *Engine) NumNodes() int { return e.nnodes }
 
 // Ops reports the cumulative number of user-level predicate operations
 // (conjunction, disjunction, negation) performed so far, as counted in
-// §3.3 of the paper. It is safe to call concurrently with engine
-// mutation (the counter is atomic).
-func (e *Engine) Ops() uint64 { return e.ops.Load() }
+// §3.3 of the paper.
+func (e *Engine) Ops() uint64 { return e.ops }
 
 // ResetOps zeroes the predicate-operation counter.
-func (e *Engine) ResetOps() { e.ops.Store(0) }
+func (e *Engine) ResetOps() { e.ops = 0 }
 
 // CacheStats reports the ITE computed-cache hit and miss totals since
-// the engine was created. Safe for concurrent use.
+// the engine was created.
 func (e *Engine) CacheStats() (hits, misses uint64) {
-	return e.cacheHits.Load(), e.cacheMisses.Load()
+	return e.cacheHits, e.cacheMisses
 }
 
-// CacheEvictions reports how many times a computed-cache shard was
-// dropped because it reached its share of the size cap. Safe for
-// concurrent use.
-func (e *Engine) CacheEvictions() uint64 { return e.cacheEvictions.Load() }
-
-// CacheLimit reports the computed-cache entry cap (<= 0 = unbounded).
-// Safe for concurrent use.
-func (e *Engine) CacheLimit() int { return int(e.cacheLimit.Load()) }
-
-// perShardLimit splits the global cache cap across shards. Every shard
-// keeps at least one entry, so a tiny cap still caches something; the
-// consequence is that the total may exceed caps smaller than the shard
-// count (bounded by max(limit, nShards)).
-func perShardLimit(limit int64) int {
-	per := int(limit) / nShards
-	if per < 1 {
-		per = 1
-	}
-	return per
-}
-
-// SetCacheLimit caps the ITE computed cache at n entries, enforced as
-// n/nShards per shard (minimum one): when an insertion would exceed a
-// shard's share that shard is dropped (the cheapest possible eviction —
-// correctness is unaffected because the cache is a pure memo table, and
-// hash-consed nodes stay alive). n <= 0 removes the bound.
-//
-// Safe to call concurrently with running ITE operations: the limit is an
-// atomic and each shard evicts under its own mutex, so a concurrent
-// resize can never tear the map an in-flight ITE is reading.
-func (e *Engine) SetCacheLimit(n int) {
-	e.cacheLimit.Store(int64(n))
-	if n <= 0 {
-		return
-	}
-	per := perShardLimit(int64(n))
-	for i := range e.cache {
-		cs := &e.cache[i]
-		cs.mu.Lock()
-		if len(cs.m) >= per {
-			cs.m = make(map[cacheKey]Ref, 16)
-			e.cacheEvictions.Add(1)
-		}
-		cs.mu.Unlock()
-	}
-}
-
-// cacheLen sums the live computed-cache entries across shards (tests and
-// introspection only).
-func (e *Engine) cacheLen() int {
-	total := 0
-	for i := range e.cache {
-		cs := &e.cache[i]
-		cs.mu.Lock()
-		total += len(cs.m)
-		cs.mu.Unlock()
-	}
-	return total
-}
+// CacheEvictions reports how many times the computed cache was dropped
+// because it reached its size cap.
+func (e *Engine) CacheEvictions() uint64 { return e.cacheEvictions }
 
 // mk returns the canonical node (level, lo, hi), creating it if needed.
-// Safe for concurrent use: creation serializes per unique-table shard,
-// and the arena write is published by the shard-mutex release before any
-// other goroutine can observe the Ref.
 func (e *Engine) mk(level int32, lo, hi Ref) Ref {
 	if lo == hi {
 		return lo
 	}
 	key := nodeKey(level, lo, hi)
-	s := &e.unique[shardOfUnique(key)]
-	s.mu.Lock()
-	if r, ok := s.m[key]; ok {
-		s.mu.Unlock()
+	if r, ok := e.unique[key]; ok {
 		return r
 	}
 	r := e.alloc(node{level: level, lo: lo, hi: hi})
-	s.m[key] = r
-	s.mu.Unlock()
+	e.unique[key] = r
 	return r
 }
 
@@ -368,15 +213,11 @@ func (e *Engine) ite(f, g, h Ref) Ref {
 		return f
 	}
 	key := cacheKey{f, g, h}
-	cs := &e.cache[shardOfCache(key)]
-	cs.mu.Lock()
-	r, ok := cs.m[key]
-	cs.mu.Unlock()
-	if ok {
-		e.cacheHits.Add(1)
+	if r, ok := e.cache[key]; ok {
+		e.cacheHits++
 		return r
 	}
-	e.cacheMisses.Add(1)
+	e.cacheMisses++
 	nf, ng, nh := e.node(f), e.node(g), e.node(h)
 	top := nf.level
 	if ng.level < top {
@@ -390,18 +231,15 @@ func (e *Engine) ite(f, g, h Ref) Ref {
 	h0, h1 := cofactor(nh, h, top)
 	lo := e.ite(f0, g0, h0)
 	hi := e.ite(f1, g1, h1)
-	r = e.mk(top, lo, hi)
-	limit := e.cacheLimit.Load()
-	cs.mu.Lock()
-	if limit > 0 && len(cs.m) >= perShardLimit(limit) {
-		// Dropping one shard mid-computation is safe: outer recursion
+	r := e.mk(top, lo, hi)
+	if e.cacheLimit > 0 && len(e.cache) >= e.cacheLimit {
+		// Dropping the cache mid-computation is safe: outer recursion
 		// levels recompute their subresults at worst, and node identity
 		// is preserved by the unique table.
-		cs.m = make(map[cacheKey]Ref, 16)
-		e.cacheEvictions.Add(1)
+		e.cache = make(map[cacheKey]Ref, 1024)
+		e.cacheEvictions++
 	}
-	cs.m[key] = r
-	cs.mu.Unlock()
+	e.cache[key] = r
 	return r
 }
 
@@ -416,45 +254,45 @@ func cofactor(n node, r Ref, top int32) (lo, hi Ref) {
 
 // And returns a ∧ b and counts one predicate operation.
 func (e *Engine) And(a, b Ref) Ref {
-	e.ops.Add(1)
+	e.ops++
 	return e.ite(a, b, False)
 }
 
 // Or returns a ∨ b and counts one predicate operation.
 func (e *Engine) Or(a, b Ref) Ref {
-	e.ops.Add(1)
+	e.ops++
 	return e.ite(a, True, b)
 }
 
 // Not returns ¬a and counts one predicate operation.
 func (e *Engine) Not(a Ref) Ref {
-	e.ops.Add(1)
+	e.ops++
 	return e.ite(a, False, True)
 }
 
 // Diff returns a ∧ ¬b. It counts as two predicate operations (a negation
 // and a conjunction), matching how the paper's pseudocode composes it.
 func (e *Engine) Diff(a, b Ref) Ref {
-	e.ops.Add(2)
+	e.ops += 2
 	return e.ite(b, False, a)
 }
 
 // Xor returns a ⊕ b, counted as one operation.
 func (e *Engine) Xor(a, b Ref) Ref {
-	e.ops.Add(1)
+	e.ops++
 	return e.ite(a, e.ite(b, False, True), b)
 }
 
 // Implies reports whether a ⇒ b holds for all assignments, i.e. a ∧ ¬b = ∅.
 // It performs one (counted) predicate operation.
 func (e *Engine) Implies(a, b Ref) bool {
-	e.ops.Add(1)
+	e.ops++
 	return e.ite(a, b, True) == True
 }
 
 // Overlaps reports whether a ∧ b is non-empty. One counted operation.
 func (e *Engine) Overlaps(a, b Ref) bool {
-	e.ops.Add(1)
+	e.ops++
 	return e.ite(a, b, False) != False
 }
 
@@ -593,7 +431,7 @@ func (e *Engine) Exists(r Ref, vars []int) Ref {
 			panic("bdd: Exists variables must be strictly increasing")
 		}
 	}
-	e.ops.Add(uint64(len(vars)))
+	e.ops += uint64(len(vars))
 	memo := make(map[Ref]Ref)
 	var rec func(r Ref, vi int) Ref
 	rec = func(r Ref, vi int) Ref {
@@ -623,55 +461,4 @@ func (e *Engine) Exists(r Ref, vars []int) Ref {
 		return out
 	}
 	return rec(r, 0)
-}
-
-// ClearCache drops the computed-table cache (but keeps all nodes alive).
-// Long-running verifiers call this between large update blocks to bound
-// memory without invalidating outstanding Refs. Safe for concurrent use
-// (each shard is dropped under its own mutex), though callers usually
-// invoke it at quiescent points.
-func (e *Engine) ClearCache() {
-	for i := range e.cache {
-		cs := &e.cache[i]
-		cs.mu.Lock()
-		cs.m = make(map[cacheKey]Ref, 16)
-		cs.mu.Unlock()
-	}
-}
-
-// dropCacheLocked resets every cache shard without counting evictions.
-// Structural-only (GC, restore); callers hold exclusive access.
-func (e *Engine) dropCacheLocked() {
-	for i := range e.cache {
-		e.cache[i].m = make(map[cacheKey]Ref, 16)
-	}
-}
-
-// resetUnique replaces the unique table with empty shards sized for n
-// survivors. Structural-only; callers hold exclusive access.
-func (e *Engine) resetUnique(n int) {
-	per := n/nShards + 1
-	for i := range e.unique {
-		e.unique[i].m = make(map[uniqueKey]Ref, per)
-	}
-}
-
-// uniqueInsert interns (key → r) without locking. Structural-only.
-func (e *Engine) uniqueInsert(key uniqueKey, r Ref) {
-	e.unique[shardOfUnique(key)].m[key] = r
-}
-
-// uniqueLookup reads the unique table without locking. Structural-only.
-func (e *Engine) uniqueLookup(key uniqueKey) (Ref, bool) {
-	r, ok := e.unique[shardOfUnique(key)].m[key]
-	return r, ok
-}
-
-// uniqueLen counts interned nonterminal nodes. Structural-only.
-func (e *Engine) uniqueLen() int {
-	total := 0
-	for i := range e.unique {
-		total += len(e.unique[i].m)
-	}
-	return total
 }

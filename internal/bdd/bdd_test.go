@@ -307,18 +307,55 @@ func TestOpsCounter(t *testing.T) {
 	}
 }
 
-func TestClearCacheKeepsRefsValid(t *testing.T) {
-	e := New(6)
-	rng := rand.New(rand.NewSource(3))
-	r := buildRandom(e, rng, 6)
-	before := e.SatCount(r)
-	e.ClearCache()
-	if e.SatCount(r) != before {
-		t.Error("ClearCache invalidated an outstanding Ref")
+// TestCacheLimitEvicts proves the computed cache stays bounded and that
+// eviction does not change results: the same expression DAG is built
+// with an unbounded cache and with a tiny cap, and both engines must
+// agree on every predicate (hash consing makes Ref equality semantic
+// equality, so comparing evaluation under probes is sufficient across
+// engines).
+func TestCacheLimitEvicts(t *testing.T) {
+	build := func(e *Engine) Ref {
+		r := False
+		for i := 0; i < 16; i++ {
+			cube := True
+			for j := 0; j < 16; j++ {
+				if (i>>uint(j%4))&1 == 1 {
+					cube = e.And(cube, e.Var(j))
+				} else {
+					cube = e.And(cube, e.Not(e.Var(j)))
+				}
+			}
+			r = e.Or(r, cube)
+		}
+		return r
 	}
-	// And the engine still computes correctly.
-	if e.And(r, e.Not(r)) != False {
-		t.Error("engine broken after ClearCache")
+	const limit = 8
+	unbounded := New(16)
+	unbounded.cacheLimit = 0
+	capped := New(16)
+	capped.cacheLimit = limit
+
+	ru := build(unbounded)
+	rc := build(capped)
+
+	if unbounded.CacheEvictions() != 0 {
+		t.Fatalf("unbounded engine evicted %d times", unbounded.CacheEvictions())
+	}
+	if capped.CacheEvictions() == 0 {
+		t.Fatal("capped engine never evicted; cap not enforced")
+	}
+	if got := len(capped.cache); got > limit {
+		t.Fatalf("cache holds %d entries, cap is %d", got, limit)
+	}
+	// Exhaustive agreement over all 2^16 assignments.
+	asg := make([]bool, 16)
+	for x := 0; x < 1<<16; x++ {
+		for b := 0; b < 16; b++ {
+			asg[b] = x>>uint(b)&1 == 1
+		}
+		if unbounded.Eval(ru, asg) != capped.Eval(rc, asg) {
+			t.Fatalf("eviction changed semantics at assignment %v", asg)
+		}
 	}
 }
 

@@ -13,11 +13,8 @@ package bdd
 //
 // Marking exploits the construction invariant that mk allocates a node
 // only after both children exist, so children always sit at smaller
-// arena indices than their parents (this holds under concurrent
-// allocation too: a parent's children are visible to its creator before
-// the parent's slot is claimed, and slot indices are monotonic): setting
-// the root bits and making one descending pass over the arena closes
-// the live set.
+// arena indices than their parents: setting the root bits and making
+// one descending pass over the arena closes the live set.
 //
 // Compaction lays survivors out in descending level order (deepest
 // variables first, terminals at their sentinel level in slots 0 and 1).
@@ -71,10 +68,8 @@ type GCStats struct {
 // the computed cache is dropped (it memoizes pre-GC Refs). All
 // outstanding Refs are invalidated: the caller must rewrite each one
 // through the returned Remap before touching the engine again.
-// Exclusive-access only: no concurrent engine use of any kind may be in
-// flight (Flash serializes GC behind the owning worker's mutex).
 func (e *Engine) GC(roots func(yield func(Ref))) (Remap, GCStats) {
-	n := int(e.nnodes.Load())
+	n := e.nnodes
 	live := make([]bool, n)
 	live[False], live[True] = true, true
 	roots(func(r Ref) {
@@ -140,24 +135,23 @@ func (e *Engine) GC(roots func(yield func(Ref))) (Remap, GCStats) {
 		ni := remap[i]
 		dir[ni>>chunkBits][ni&chunkMask] = nd
 	}
-	e.chunks.Store(&dir)
-	e.nnodes.Store(int64(next))
-	e.resetUnique(int(next))
+	e.chunks = dir
+	e.nnodes = int(next)
+	e.unique = make(map[uniqueKey]Ref, int(next))
 	for i := Ref(2); i < next; i++ {
 		nd := e.node(i)
-		e.uniqueInsert(nodeKey(nd.level, nd.lo, nd.hi), i)
+		e.unique[nodeKey(nd.level, nd.lo, nd.hi)] = i
 	}
-	e.dropCacheLocked()
+	e.cache = make(map[cacheKey]Ref, 1024)
 	st := GCStats{Before: n, After: int(next), Reclaimed: n - int(next)}
-	e.gcRuns.Add(1)
-	e.gcReclaimed.Add(uint64(st.Reclaimed))
+	e.gcRuns++
+	e.gcReclaimed += uint64(st.Reclaimed)
 	return remap, st
 }
 
-// GCRuns reports how many GC passes have completed. Safe for concurrent
-// use, like the other activity counters.
-func (e *Engine) GCRuns() uint64 { return e.gcRuns.Load() }
+// GCRuns reports how many GC passes have completed.
+func (e *Engine) GCRuns() uint64 { return e.gcRuns }
 
 // ReclaimedNodes reports the total node count swept across all GC
-// passes. Safe for concurrent use.
-func (e *Engine) ReclaimedNodes() uint64 { return e.gcReclaimed.Load() }
+// passes.
+func (e *Engine) ReclaimedNodes() uint64 { return e.gcReclaimed }

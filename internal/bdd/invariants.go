@@ -11,9 +11,9 @@ import "fmt"
 // longer sound.
 //
 // The walk is O(nodes); the flashcheck layer calls it after each applied
-// update block. Exclusive-access only, like all structural methods.
+// update block.
 func (e *Engine) CheckInvariants() error {
-	n := int(e.nnodes.Load())
+	n := e.nnodes
 	for i := 2; i < n; i++ {
 		nd := e.node(Ref(i))
 		if nd.level < 0 || int(nd.level) >= e.nvars {
@@ -31,7 +31,7 @@ func (e *Engine) CheckInvariants() error {
 			}
 		}
 	}
-	if got := e.uniqueLen(); got != n-2 {
+	if got := len(e.unique); got != n-2 {
 		return fmt.Errorf("bdd: unique table holds %d entries for %d nonterminal nodes; hash consing broken", got, n-2)
 	}
 	return nil

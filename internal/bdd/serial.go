@@ -7,9 +7,8 @@ import "fmt"
 // only ever allocates nodes whose children already exist, store order is
 // children-before-parents, so the dump restores with one linear pass.
 // The returned slice is a copy — a later GC compaction cannot mutate it.
-// Exclusive-access only, like all structural methods.
 func (e *Engine) ExportNodes() []int32 {
-	n := int(e.nnodes.Load())
+	n := e.nnodes
 	out := make([]int32, 0, 3*(n-2))
 	for i := 2; i < n; i++ {
 		nd := e.node(Ref(i))
@@ -60,13 +59,13 @@ func NewFromNodes(nvars int, dump []int32) (*Engine, error) {
 			return nil, fmt.Errorf("bdd: restore: node %d at level %d has a child at an equal or smaller level", r, level)
 		}
 		key := nodeKey(level, lo, hi)
-		if _, dup := e.uniqueLookup(key); dup {
+		if _, dup := e.unique[key]; dup {
 			return nil, fmt.Errorf("bdd: restore: duplicate node (%d,%d,%d) at ref %d breaks hash consing", level, lo, hi, r)
 		}
 		if got := e.alloc(node{level: level, lo: lo, hi: hi}); got != r {
 			return nil, fmt.Errorf("bdd: restore: allocation drift (got ref %d, want %d)", got, r)
 		}
-		e.uniqueInsert(key, r)
+		e.unique[key] = r
 	}
 	return e, nil
 }
@@ -75,5 +74,5 @@ func NewFromNodes(nvars int, dump []int32) (*Engine, error) {
 // or an existing decision node). Restore paths use it to validate refs
 // recorded in checkpoint sections against the rebuilt node store.
 func (e *Engine) CheckRef(r Ref) bool {
-	return r >= 0 && int64(r) < e.nnodes.Load()
+	return r >= 0 && int(r) < e.nnodes
 }

@@ -23,11 +23,9 @@ import "repro/internal/bdd"
 // representation. *bdd.Engine satisfies it natively; *atoms.Engine
 // implements it over canonical interval sets.
 //
-// The concurrency contract follows the BDD engine's: the algebraic
-// operations and read-only walks are safe for concurrent use, while GC
-// (and any representation-specific structural method) requires
-// exclusive access, which Flash provides behind the owning worker's
-// mutex.
+// Both implementations are single-owner: no method is safe for
+// concurrent use, counter reads included, so the caller serializes
+// every call. Flash does so behind the owning subspace's mutex.
 type Engine interface {
 	// NumVars reports the width of the Boolean universe (total header
 	// bits for the layout both representations compile against).
@@ -51,7 +49,8 @@ type Engine interface {
 	AnySat(r bdd.Ref) []bool
 	SatCount(r bdd.Ref) float64
 
-	// Activity counters (atomic; safe to sample concurrently).
+	// Activity counters. Sampling them is an engine call like any
+	// other and needs the owner's serialization.
 	Ops() uint64
 	CacheStats() (hits, misses uint64)
 	CacheEvictions() uint64
@@ -60,7 +59,7 @@ type Engine interface {
 
 	// CheckInvariants verifies representation canonicity (flashcheck
 	// tier); GC runs a mark-and-sweep over the caller's root set and
-	// returns the dense old→new remap. Exclusive-access only.
+	// returns the dense old→new remap.
 	CheckInvariants() error
 	GC(roots func(yield func(bdd.Ref))) (bdd.Remap, bdd.GCStats)
 }

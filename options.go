@@ -86,7 +86,7 @@ func WithPerUpdate(on bool) Option {
 
 // WithPredicateMode selects the predicate representation strategy (see
 // Config.PredicateMode). PredicateBDD (the default) compiles every
-// match into the sharded BDD engine. PredicateHybrid starts each
+// match into the BDD engine. PredicateHybrid starts each
 // subspace on Delta-net-style interval atoms — asymptotically cheaper
 // while every installed rule is a pure prefix interval on the layout's
 // first field — and converts the subspace to BDD, one way, the moment

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/fib"
+	"repro/internal/obs"
 )
 
 // reachSys builds a small system with an a→d reachability check over
@@ -225,7 +226,11 @@ func TestWhatIfCanceledContext(t *testing.T) {
 
 // TestWhatIfDifferential is the acceptance differential: a live ingest
 // stream must produce byte-identical model fingerprints and verdict
-// multisets whether or not what-if transactions run concurrently.
+// multisets whether or not what-if transactions run concurrently. The
+// sampled input also builds both Systems with metrics and reads the
+// stats and metric snapshots in a loop for the whole run; the predicate
+// engines are single-owner, so under -race this proves every engine
+// reader goes through its subspace's mutex.
 func TestWhatIfDifferential(t *testing.T) {
 	const seed = 0x5eed5
 	_, seq := diffWorkload(seed)
@@ -233,78 +238,109 @@ func TestWhatIfDifferential(t *testing.T) {
 	epochs := diffStream(t, seq, 24)
 	lastEpoch := fmt.Sprintf("e%d", len(epochs))
 
-	newSys := func() *System {
-		sys, err := NewSystem(
-			WithTopo(w.Topo),
-			WithLayout(w.Layout),
-			WithSubspaces(diffSubspaces, ""),
-			WithChecks(CheckSpec{Name: "loops", Kind: CheckLoopFree}),
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sys
-	}
+	for _, tc := range []struct {
+		name    string
+		sampled bool
+	}{
+		{"plain", false},
+		{"sampled", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			newSys := func() *System {
+				opts := []Option{
+					WithTopo(w.Topo),
+					WithLayout(w.Layout),
+					WithSubspaces(diffSubspaces, ""),
+					WithChecks(CheckSpec{Name: "loops", Kind: CheckLoopFree}),
+				}
+				if tc.sampled {
+					opts = append(opts, WithMetrics(obs.NewRegistry("flash")))
+				}
+				sys, err := NewSystem(opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sys
+			}
 
-	run := func(sys *System, whatifs bool) ([]string, string) {
-		stop := make(chan struct{})
-		var wg sync.WaitGroup
-		if whatifs {
-			// Hammer what-if transactions for the whole ingest; every one
-			// forks from a live snapshot while FeedBatch runs.
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				hypo := []DeviceBlock{{Device: 3, Updates: []Update{
-					{Op: fib.Insert, Rule: Rule{ID: 12345, Pri: 99, Action: Drop,
-						Desc: MatchDesc{{Field: "dst", Kind: fib.MatchPrefix, Len: 0}}}},
-				}}}
-				for {
-					select {
-					case <-stop:
-						return
-					default:
+			run := func(sys *System, whatifs bool) ([]string, string) {
+				stop := make(chan struct{})
+				var wg sync.WaitGroup
+				if tc.sampled {
+					// Sample every engine counter, as the admin handler
+					// does, for the whole ingest and what-if hammer.
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for {
+							select {
+							case <-stop:
+								return
+							default:
+							}
+							sys.StatsSnapshot()
+							sys.Metrics().Snapshot()
+						}
+					}()
+				}
+				if whatifs {
+					// Hammer what-if transactions for the whole ingest; every one
+					// forks from a live snapshot while FeedBatch runs.
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						hypo := []DeviceBlock{{Device: 3, Updates: []Update{
+							{Op: fib.Insert, Rule: Rule{ID: 12345, Pri: 99, Action: Drop,
+								Desc: MatchDesc{{Field: "dst", Kind: fib.MatchPrefix, Len: 0}}}},
+						}}}
+						for {
+							select {
+							case <-stop:
+								return
+							default:
+							}
+							if _, err := sys.WhatIf(context.Background(), hypo); err != nil &&
+								!errors.Is(err, ErrNoEpoch) {
+								t.Errorf("concurrent what-if: %v", err)
+								return
+							}
+						}
+					}()
+				}
+				var verdicts []string
+				for _, msgs := range epochs {
+					rs, err := sys.FeedBatch(context.Background(), msgs)
+					if err != nil {
+						t.Fatal(err)
 					}
-					if _, err := sys.WhatIf(context.Background(), hypo); err != nil &&
-						!errors.Is(err, ErrNoEpoch) {
-						t.Errorf("concurrent what-if: %v", err)
-						return
+					for _, r := range rs {
+						verdicts = append(verdicts, r.String())
 					}
 				}
-			}()
-		}
-		var verdicts []string
-		for _, msgs := range epochs {
-			rs, err := sys.FeedBatch(context.Background(), msgs)
-			if err != nil {
-				t.Fatal(err)
+				close(stop)
+				wg.Wait()
+				sort.Strings(verdicts)
+				fp, err := sys.ModelFingerprint(lastEpoch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return verdicts, fp
 			}
-			for _, r := range rs {
-				verdicts = append(verdicts, r.String())
-			}
-		}
-		close(stop)
-		wg.Wait()
-		sort.Strings(verdicts)
-		fp, err := sys.ModelFingerprint(lastEpoch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return verdicts, fp
-	}
 
-	wantV, wantFP := run(newSys(), false)
-	gotV, gotFP := run(newSys(), true)
-	if gotFP != wantFP {
-		t.Fatal("model fingerprint diverges when what-ifs run concurrently with ingest")
-	}
-	if len(gotV) != len(wantV) {
-		t.Fatalf("verdict multiset size: %d with what-ifs, %d without", len(gotV), len(wantV))
-	}
-	for i := range wantV {
-		if gotV[i] != wantV[i] {
-			t.Fatalf("verdict multiset diverges at %d:\n  with:    %s\n  without: %s", i, gotV[i], wantV[i])
-		}
+			wantV, wantFP := run(newSys(), false)
+			gotV, gotFP := run(newSys(), true)
+			if gotFP != wantFP {
+				t.Fatal("model fingerprint diverges when what-ifs run concurrently with ingest")
+			}
+			if len(gotV) != len(wantV) {
+				t.Fatalf("verdict multiset size: %d with what-ifs, %d without", len(gotV), len(wantV))
+			}
+			for i := range wantV {
+				if gotV[i] != wantV[i] {
+					t.Fatalf("verdict multiset diverges at %d:\n  with:    %s\n  without: %s", i, gotV[i], wantV[i])
+				}
+			}
+		})
 	}
 }
 
